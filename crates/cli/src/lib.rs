@@ -162,15 +162,9 @@ pub fn run_command(command: &Command, out: &mut dyn io::Write) -> Result<(), Str
             engine,
             listen,
             name,
-            threaded,
             workers,
         } => {
             let config = seu_net::ServerConfig {
-                mode: if *threaded {
-                    seu_net::ServerMode::ThreadPerConnection
-                } else {
-                    seu_net::ServerMode::EventLoop
-                },
                 workers: *workers,
                 ..seu_net::ServerConfig::default()
             };

@@ -78,11 +78,9 @@ pub struct BrokerBenchConfig {
     /// rate reads 0 and the speedup collapses to ~1.
     pub no_cache: bool,
     /// Remote-only concurrency axis: for each entry `n`, hammer one
-    /// loopback engine with `n` client threads through both schedulers —
-    /// the event-loop server with the multiplexing connection pool
-    /// (`mux_cN` phase) and the thread-per-connection server with a
-    /// connection-per-call client (`threaded_cN` phase) — and report
-    /// both throughputs as a [`ConcurrencyPoint`]. Empty skips the axis.
+    /// loopback engine server with `n` client threads sharing one
+    /// multiplexing connection pool (`mux_cN` phase) and report the
+    /// throughput as a [`ConcurrencyPoint`]. Empty skips the axis.
     pub concurrency: Vec<usize>,
     /// When set, run the federation phases: every database goes behind
     /// its own loopback engine server, and the same workload is driven
@@ -133,8 +131,8 @@ impl BrokerBenchConfig {
     }
 }
 
-/// One point on the remote concurrency axis: requests per second through
-/// each scheduler at a given client-thread count.
+/// One point on the remote concurrency axis: requests per second at a
+/// given client-thread count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConcurrencyPoint {
     /// Concurrent client threads driving the workload.
@@ -142,9 +140,6 @@ pub struct ConcurrencyPoint {
     /// Throughput through the event-loop server with the multiplexing
     /// connection pool (successful requests / wall-clock seconds).
     pub multiplexed_rps: f64,
-    /// Throughput through the thread-per-connection server with a
-    /// connection-per-call client.
-    pub threaded_rps: f64,
 }
 
 /// The benchmark report: configuration, per-phase timings, and the
@@ -266,8 +261,6 @@ impl BrokerBenchReport {
             }
             let _ = write!(out, "{{\"clients\": {}, \"multiplexed_rps\": ", p.clients);
             json::write_num(&mut out, p.multiplexed_rps);
-            out.push_str(", \"threaded_rps\": ");
-            json::write_num(&mut out, p.threaded_rps);
             out.push('}');
         }
         out.push_str("],\n");
@@ -359,8 +352,8 @@ impl BrokerBenchReport {
         for p in &self.concurrency {
             let _ = writeln!(
                 out,
-                "  concurrency {:>4} clients: multiplexed {:>9.1} req/s, thread-per-conn {:>9.1} req/s",
-                p.clients, p.multiplexed_rps, p.threaded_rps
+                "  concurrency {:>4} clients: multiplexed {:>9.1} req/s",
+                p.clients, p.multiplexed_rps
             );
         }
         let _ = writeln!(out, "  {:<16} {:>10} {:>8}", "phase", "seconds", "items");
@@ -692,66 +685,38 @@ pub fn run_broker_bench_config(cfg: &BrokerBenchConfig) -> BrokerBenchReport {
         let _ = std::fs::remove_dir_all(&store_dir);
     }
 
-    // Remote concurrency axis: the same single-engine request hammer
-    // through both schedulers at each configured client count. The
-    // multiplexed side shares one pooled client across every thread
-    // (frames interleave on few connections); the baseline pairs the
-    // thread-per-connection server with a connection-per-call client —
-    // the pre-pool deployment. Phase names are leaked once per point;
-    // the axis is a handful of values, not a hot path.
+    // Remote concurrency axis: the same single-engine request hammer at
+    // each configured client count, every thread sharing one pooled
+    // client (frames interleave on few connections), so throughput
+    // scales with clients only if the pool and the event loop really
+    // multiplex. Phase names are leaked once per point; the axis is a
+    // handful of values, not a hot path.
     let mut concurrency_points: Vec<ConcurrencyPoint> = Vec::new();
     if remote && !cfg.concurrency.is_empty() {
-        let first_collection = || {
-            seu_corpus::many_databases(seed, docs_base)
-                .into_iter()
-                .next()
-                .expect("the generator yields at least one database")
-                .1
-        };
+        let (_, first_collection) = seu_corpus::many_databases(seed, docs_base)
+            .into_iter()
+            .next()
+            .expect("the generator yields at least one database");
         let mux_server = seu_net::EngineServer::bind(
             "bench-mux",
-            SearchEngine::new(first_collection()),
+            SearchEngine::new(first_collection),
             "127.0.0.1:0",
         )
         .expect("binding the event-loop bench server");
-        let threaded_server = seu_net::EngineServer::bind_with(
-            "bench-threaded",
-            SearchEngine::new(first_collection()),
-            "127.0.0.1:0",
-            seu_net::ServerConfig {
-                mode: seu_net::ServerMode::ThreadPerConnection,
-                ..seu_net::ServerConfig::default()
-            },
-        )
-        .expect("binding the thread-per-connection bench server");
         let mux_client =
             seu_net::RemoteEngine::new(mux_server.addr()).expect("resolving the mux server");
-        let threaded_client = seu_net::RemoteEngine::new(threaded_server.addr())
-            .expect("resolving the threaded server")
-            .connection_per_call(true);
         for &n in &cfg.concurrency {
             let clients = n.max(1);
             let total = (clients * 16).max(256);
             let mux_name: &'static str = Box::leak(format!("mux_c{clients}").into_boxed_str());
-            let threaded_name: &'static str =
-                Box::leak(format!("threaded_c{clients}").into_boxed_str());
             let mut mux_ok = 0u64;
             let mux_seconds = timed(mux_name, total as u64, &mut || {
                 mux_ok = hammer(&mux_client, clients, total, &queries, threshold);
-            });
-            let mut threaded_ok = 0u64;
-            let threaded_seconds = timed(threaded_name, total as u64, &mut || {
-                threaded_ok = hammer(&threaded_client, clients, total, &queries, threshold);
             });
             concurrency_points.push(ConcurrencyPoint {
                 clients,
                 multiplexed_rps: if mux_seconds > 0.0 {
                     mux_ok as f64 / mux_seconds
-                } else {
-                    0.0
-                },
-                threaded_rps: if threaded_seconds > 0.0 {
-                    threaded_ok as f64 / threaded_seconds
                 } else {
                     0.0
                 },
@@ -854,7 +819,7 @@ pub fn run_broker_bench_config(cfg: &BrokerBenchConfig) -> BrokerBenchReport {
     let mut federated_speedup = None;
     if cfg.federated {
         use seu_metasearch::federation::{EngineSource, FrontDoor, FrontDoorConfig};
-        use seu_net::{RemoteReplica, ReplicaServer, ReplicaServerConfig};
+        use seu_net::{RemoteReplica, ReplicaServer, ServerConfig};
 
         let mut fed_servers: Vec<(String, seu_net::EngineServer)> = Vec::new();
         timed("federated_serve", n_databases as u64, &mut || {
@@ -893,7 +858,10 @@ pub fn run_broker_bench_config(cfg: &BrokerBenchConfig) -> BrokerBenchReport {
                     &format!("replica-{i}"),
                     broker,
                     "127.0.0.1:0",
-                    ReplicaServerConfig { workers: 1 },
+                    ServerConfig {
+                        workers: 1,
+                        ..ServerConfig::default()
+                    },
                 )
                 .expect("binding a replica server");
                 let client = RemoteReplica::new(server.addr()).expect("dialing a replica");
@@ -1434,16 +1402,13 @@ mod tests {
             ..BrokerBenchConfig::new(7, 6, 3)
         });
         let names: Vec<_> = report.phases.iter().map(|p| p.name).collect();
-        assert!(
-            names.contains(&"mux_c2") && names.contains(&"threaded_c2"),
-            "{names:?}"
-        );
+        assert!(names.contains(&"mux_c2"), "{names:?}");
         assert_eq!(report.concurrency.len(), 1);
         let point = report.concurrency[0];
         assert_eq!(point.clients, 2);
         assert!(
-            point.multiplexed_rps > 0.0 && point.threaded_rps > 0.0,
-            "both schedulers must complete requests: {point:?}"
+            point.multiplexed_rps > 0.0,
+            "the multiplexed path must complete requests: {point:?}"
         );
         let doc = json::parse(&report.to_json()).expect("concurrency bench JSON parses");
         let axis = doc

@@ -1554,12 +1554,6 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         self.plan_cached(req, trace).0
     }
 
-    /// Deprecated alias for [`Broker::plan`] with a trace.
-    #[deprecated(note = "use `plan(req, Some(trace))`")]
-    pub fn plan_traced(&self, req: &SearchRequest, trace: &TraceHandle) -> QueryPlan {
-        self.plan(req, Some(trace))
-    }
-
     /// [`Broker::plan`], also reporting which cache tier (if any) the
     /// planning work came from: `Some(Plan)` for a plan-tier hit,
     /// `Some(Analysis)` when only the analysis was reused, `None` for a
@@ -1764,17 +1758,6 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                 usefulness: self.estimator.estimate(&e.repr, &e.query, threshold),
             })
             .collect())
-    }
-
-    /// Deprecated alias for [`Broker::try_reestimate`] with a trace.
-    #[deprecated(note = "use `try_reestimate(plan, threshold, Some(trace))`")]
-    pub fn try_reestimate_traced(
-        &self,
-        plan: &QueryPlan,
-        threshold: f64,
-        trace: &TraceHandle,
-    ) -> Result<Vec<EngineEstimate>, StalePlanError> {
-        self.try_reestimate(plan, threshold, Some(trace))
     }
 
     /// Re-estimates a plan's engines at a different threshold,

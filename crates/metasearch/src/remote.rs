@@ -190,18 +190,6 @@ pub trait RemoteTransport: Send + Sync + std::fmt::Debug {
         ctx: Option<&seu_obs::TraceContext>,
     ) -> Result<(Vec<RemoteHit>, Vec<seu_obs::SpanRecord>), TransportError>;
 
-    /// Deprecated alias for [`RemoteTransport::search`] with a trace
-    /// context.
-    #[deprecated(note = "use `search(query_text, threshold, Some(ctx))`")]
-    fn search_traced(
-        &self,
-        query_text: &str,
-        threshold: f64,
-        ctx: &seu_obs::TraceContext,
-    ) -> Result<(Vec<RemoteHit>, Vec<seu_obs::SpanRecord>), TransportError> {
-        self.search(query_text, threshold, Some(ctx))
-    }
-
     /// The engine's exact usefulness for a query at a threshold — the
     /// oracle the evaluation compares estimates against.
     fn true_usefulness(

@@ -1,6 +1,8 @@
-//! The broker side of the wire: [`RemoteEngine`], a TCP client
+//! The client side of the wire: [`RemoteEngine`], a TCP client
 //! implementing [`RemoteTransport`] so a broker can register an engine
-//! living in another process with `Broker::register_remote`.
+//! living in another process with `Broker::register_remote`, and the
+//! connection pool under it, which
+//! [`RemoteReplica`](crate::RemoteReplica) shares.
 //!
 //! The client keeps a small **connection pool** shared by every clone
 //! of the same `RemoteEngine`. Each pooled connection is multiplexed:
@@ -9,7 +11,8 @@
 //! calls are in flight on one socket at once (up to a pipeline depth
 //! per connection; more connections are dialed on demand up to the pool
 //! cap). Per-request deadlines are enforced by the waiting caller — a
-//! condvar wait bounded by [`RemoteEngineConfig::call_timeout`] — not
+//! wait on its own reply channel bounded by
+//! [`RemoteEngineConfig::call_timeout`] — not
 //! by socket-level read timeouts, so one slow request never delays the
 //! replies interleaved behind it.
 //!
@@ -30,7 +33,7 @@
 //! once on a freshly dialed one — a stale pooled socket is a fact of
 //! pooling, not a remote failure — before the retry policy is charged.
 
-use crate::frame::{io_error, read_frame, write_frame, write_frame_corr};
+use crate::frame::{io_error, read_frame, write_frame_corr};
 use crate::metrics::metrics;
 use crate::wire::Message;
 use seu_engine::{Fingerprint, TrueUsefulness};
@@ -40,9 +43,9 @@ use seu_metasearch::{
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// In-flight requests one multiplexed connection carries before the
 /// pool prefers dialing another.
@@ -85,17 +88,17 @@ fn backoff_delay(base: Duration, attempt: u32, cap: Duration) -> Duration {
     base.saturating_mul(2u32.saturating_pow(attempt)).min(cap)
 }
 
-/// A slot one waiting caller watches: `None` until the reader thread
-/// (or a connection-death sweep) fills it.
-type ReplySlot = Option<Result<Message, TransportError>>;
+/// Where the reader thread (or a connection-death sweep) delivers one
+/// waiting caller's reply. One channel per request wakes exactly that
+/// caller, not every caller pipelined on the connection.
+type ReplySlot = mpsc::SyncSender<Result<Message, TransportError>>;
 
 /// One pooled connection: a locked writer half, a reader thread routing
-/// replies into `pending` by correlation id, and bookkeeping for the
-/// pool's load balancing.
+/// replies to `pending` callers by correlation id, and bookkeeping for
+/// the pool's load balancing.
 struct Conn {
     writer: Mutex<TcpStream>,
     pending: Mutex<HashMap<u64, ReplySlot>>,
-    cv: Condvar,
     /// Whether the peer echoes correlation ids (negotiated at
     /// handshake: we send a nonzero id on Hello; a multiplex-capable
     /// server echoes it on the ack, anything else comes back 0).
@@ -119,27 +122,43 @@ fn lock_unpoisoned<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The shared state behind every clone of one [`RemoteEngine`].
-struct Pool {
+/// The connection pool and call path shared by every clone of one
+/// [`RemoteEngine`] or [`RemoteReplica`](crate::RemoteReplica).
+pub(crate) struct Pool {
     addrs: Vec<SocketAddr>,
     config: RemoteEngineConfig,
     max_backoff: Duration,
     max_conns: usize,
-    /// Baseline mode: a fresh connection per call, no pooling or
-    /// multiplexing (the pre-pool behavior, kept for benchmarking).
-    per_call: bool,
     next_corr: AtomicU64,
     conns: Mutex<Vec<Arc<Conn>>>,
 }
 
 impl Pool {
+    /// Resolves `addr` to every address it maps to; no connection is
+    /// made until the first call.
+    pub(crate) fn resolve(
+        addr: impl ToSocketAddrs,
+        config: RemoteEngineConfig,
+    ) -> Result<Pool, TransportError> {
+        let addrs: Vec<SocketAddr> = addr
+            .to_socket_addrs()
+            .map_err(|e| io_error(&e, "resolving address"))?
+            .collect();
+        if addrs.is_empty() {
+            return Err(TransportError::new(
+                TransportErrorKind::Refused,
+                "address resolved to nothing",
+            ));
+        }
+        Ok(Pool::new(addrs, config))
+    }
+
     fn new(addrs: Vec<SocketAddr>, config: RemoteEngineConfig) -> Pool {
         Pool {
             addrs,
             config,
             max_backoff: DEFAULT_MAX_BACKOFF,
             max_conns: DEFAULT_MAX_CONNS,
-            per_call: false,
             next_corr: AtomicU64::new(1),
             conns: Mutex::new(Vec::new()),
         }
@@ -160,9 +179,11 @@ impl Pool {
         }))
     }
 
-    /// Dials, handshakes (negotiating correlation-id support), and
-    /// spawns the reader thread for a new pooled connection.
-    fn dial(&self) -> Result<Arc<Conn>, TransportError> {
+    /// Opens a connection and completes the Hello handshake, returning
+    /// the stream, whether the peer multiplexes (we send a nonzero
+    /// correlation id on Hello; a multiplex-capable server echoes it on
+    /// the ack, anything else comes back 0), and the advertised name.
+    fn handshake(&self, subscribe: bool) -> Result<(TcpStream, bool, String), TransportError> {
         let mut stream = self.connect_any()?;
         stream
             .set_read_timeout(Some(self.config.call_timeout))
@@ -170,14 +191,19 @@ impl Pool {
             .and_then(|()| stream.set_nodelay(true))
             .map_err(|e| io_error(&e, "configuring socket"))?;
         let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        let (kind, payload) = Message::Hello { subscribe: false }.encode();
+        let (kind, payload) = Message::Hello { subscribe }.encode();
         write_frame_corr(&mut stream, corr, kind, &payload)?;
         let ack = read_frame(&mut stream)?;
-        let mux = ack.corr == corr;
         match Message::decode(ack.kind, &ack.payload)? {
-            Message::HelloAck { .. } => {}
-            other => return Err(unexpected("HelloAck", &other)),
+            Message::HelloAck { name } => Ok((stream, ack.corr == corr, name)),
+            other => Err(unexpected("HelloAck", &other)),
         }
+    }
+
+    /// Dials, handshakes, and spawns the reader thread for a new pooled
+    /// connection.
+    fn dial(&self) -> Result<Arc<Conn>, TransportError> {
+        let (stream, mux, _) = self.handshake(false)?;
         // The reader thread blocks until a frame arrives; deadlines are
         // enforced by the waiting callers instead.
         stream
@@ -189,7 +215,6 @@ impl Pool {
         let conn = Arc::new(Conn {
             writer: Mutex::new(stream),
             pending: Mutex::new(HashMap::new()),
-            cv: Condvar::new(),
             mux,
             serial: Mutex::new(()),
             alive: AtomicBool::new(true),
@@ -250,6 +275,132 @@ impl Pool {
         lock_unpoisoned(&self.conns).push(Arc::clone(&conn));
         Ok(conn)
     }
+
+    /// Sends `request` on `conn` and waits for its reply, bounded by
+    /// the call timeout.
+    fn exchange(&self, conn: &Conn, request: &Message) -> Result<Message, TransportError> {
+        // Non-mux peers match replies positionally: hold the exchange
+        // serial for the whole send-and-wait.
+        let _serial = if conn.mux {
+            None
+        } else {
+            Some(lock_unpoisoned(&conn.serial))
+        };
+        let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
+        let (slot, reply) = mpsc::sync_channel(1);
+        lock_unpoisoned(&conn.pending).insert(corr, slot);
+        let (kind, payload) = request.encode();
+        let sent = {
+            let mut writer = lock_unpoisoned(&conn.writer);
+            write_frame_corr(&mut *writer, corr, kind, &payload)
+        };
+        if let Err(e) = sent {
+            lock_unpoisoned(&conn.pending).remove(&corr);
+            // A partial frame may be on the wire; nothing after it can
+            // be trusted.
+            conn.kill();
+            return Err(e);
+        }
+        if !conn.alive.load(Ordering::Acquire) {
+            // The reader may have swept `pending` before our slot
+            // existed; do not wait a full timeout to learn that.
+            lock_unpoisoned(&conn.pending).remove(&corr);
+            return Err(TransportError::new(
+                TransportErrorKind::ConnectionLost,
+                "connection died before the request was sent",
+            ));
+        }
+        match reply.recv_timeout(self.config.call_timeout) {
+            Ok(result) => result,
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                lock_unpoisoned(&conn.pending).remove(&corr);
+                if !conn.mux {
+                    // A sequential peer still owes a reply; the stream
+                    // is desynchronized for any future exchange.
+                    conn.kill();
+                }
+                Err(TransportError::new(
+                    TransportErrorKind::Timeout,
+                    format!(
+                        "no reply within {:?} (corr {corr})",
+                        self.config.call_timeout
+                    ),
+                ))
+            }
+            // Every sender is gone without a reply: the connection was
+            // torn down under us.
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(TransportError::new(
+                TransportErrorKind::ConnectionLost,
+                "connection closed before the reply arrived",
+            )),
+        }
+    }
+
+    /// One attempt: acquire a pooled connection and exchange on it. A
+    /// lost connection on a *reused* pooled socket is retried once on a
+    /// fresh dial before surfacing.
+    fn call_once(&self, request: &Message) -> Result<Message, TransportError> {
+        let (conn, fresh) = self.acquire()?;
+        conn.in_flight.fetch_add(1, Ordering::Relaxed);
+        let first = self.exchange(&conn, request);
+        conn.in_flight.fetch_sub(1, Ordering::Relaxed);
+        let reply = match first {
+            Err(e) if !fresh && e.kind == TransportErrorKind::ConnectionLost => {
+                let conn = self.redial()?;
+                conn.in_flight.fetch_add(1, Ordering::Relaxed);
+                let second = self.exchange(&conn, request);
+                conn.in_flight.fetch_sub(1, Ordering::Relaxed);
+                second?
+            }
+            other => other?,
+        };
+        match reply {
+            Message::Error { detail } => {
+                Err(TransportError::new(TransportErrorKind::Remote, detail))
+            }
+            other => Ok(other),
+        }
+    }
+
+    /// Sends `request` with the configured retry policy, recording
+    /// latency and failure metrics. The latency histogram times each
+    /// attempt individually — backoff sleeps are not wire time.
+    pub(crate) fn call(&self, request: &Message) -> Result<Message, TransportError> {
+        let m = metrics();
+        let mut attempt = 0;
+        let result = loop {
+            let timer = m.rpc_latency.start_timer();
+            let outcome = self.call_once(request);
+            timer.stop();
+            match outcome {
+                Ok(reply) => break Ok(reply),
+                Err(e) => {
+                    let transient = matches!(
+                        e.kind,
+                        TransportErrorKind::Refused | TransportErrorKind::ConnectionLost
+                    );
+                    if !transient || attempt >= self.config.retries {
+                        break Err(e);
+                    }
+                    m.client_retries.inc();
+                    std::thread::sleep(backoff_delay(
+                        self.config.backoff,
+                        attempt,
+                        self.max_backoff,
+                    ));
+                    attempt += 1;
+                }
+            }
+        };
+        if let Err(e) = &result {
+            if e.kind == TransportErrorKind::Timeout {
+                m.client_timeouts.inc();
+            } else {
+                m.client_failures.inc();
+            }
+        }
+        result
+    }
 }
 
 impl Drop for Pool {
@@ -267,7 +418,6 @@ impl std::fmt::Debug for Pool {
         f.debug_struct("Pool")
             .field("addrs", &self.addrs)
             .field("max_conns", &self.max_conns)
-            .field("per_call", &self.per_call)
             .finish()
     }
 }
@@ -291,14 +441,15 @@ fn reader_loop(conn: Arc<Conn>, mut stream: TcpStream) {
                     } else {
                         None
                     };
-                    match target {
-                        Some(corr) => {
-                            pending.insert(corr, Some(result));
+                    match target.and_then(|corr| pending.remove(&corr)) {
+                        // The channel holds one reply, so this never
+                        // blocks; a caller that timed out is gone.
+                        Some(slot) => {
+                            let _ = slot.send(result);
                         }
                         None => metrics().client_late_replies.inc(),
                     }
                 }
-                conn.cv.notify_all();
                 if fatal_decode {
                     // Framing survived but the payload is garbage; the
                     // stream can no longer be trusted.
@@ -308,15 +459,9 @@ fn reader_loop(conn: Arc<Conn>, mut stream: TcpStream) {
             }
             Err(e) => {
                 conn.alive.store(false, Ordering::Release);
-                {
-                    let mut pending = lock_unpoisoned(&conn.pending);
-                    for slot in pending.values_mut() {
-                        if slot.is_none() {
-                            *slot = Some(Err(e.clone()));
-                        }
-                    }
+                for (_, slot) in lock_unpoisoned(&conn.pending).drain() {
+                    let _ = slot.send(Err(e.clone()));
                 }
-                conn.cv.notify_all();
                 return;
             }
         }
@@ -351,18 +496,8 @@ impl RemoteEngine {
         addr: impl ToSocketAddrs,
         config: RemoteEngineConfig,
     ) -> Result<RemoteEngine, TransportError> {
-        let addrs: Vec<SocketAddr> = addr
-            .to_socket_addrs()
-            .map_err(|e| io_error(&e, "resolving engine address"))?
-            .collect();
-        if addrs.is_empty() {
-            return Err(TransportError::new(
-                TransportErrorKind::Refused,
-                "address resolved to nothing",
-            ));
-        }
         Ok(RemoteEngine {
-            pool: Arc::new(Pool::new(addrs, config)),
+            pool: Arc::new(Pool::resolve(addr, config)?),
             peer_lacks_tracing: Arc::new(AtomicBool::new(false)),
             peer_lacks_batch: Arc::new(AtomicBool::new(false)),
         })
@@ -372,7 +507,6 @@ impl RemoteEngine {
         let mut pool = Pool::new(self.pool.addrs.clone(), self.pool.config);
         pool.max_backoff = self.pool.max_backoff;
         pool.max_conns = self.pool.max_conns;
-        pool.per_call = self.pool.per_call;
         f(&mut pool);
         RemoteEngine {
             pool: Arc::new(pool),
@@ -393,180 +527,10 @@ impl RemoteEngine {
         self.tweak(|p| p.max_conns = n.max(1))
     }
 
-    /// Selects the pre-pool baseline: a fresh connection, handshake,
-    /// and teardown per call. Kept selectable so benchmarks can compare
-    /// the multiplexed path against it.
-    pub fn connection_per_call(self, yes: bool) -> RemoteEngine {
-        self.tweak(|p| p.per_call = yes)
-    }
-
-    /// Opens a connection and completes the Hello handshake, returning
-    /// the stream and the engine's advertised name (subscription and
-    /// per-call paths; pooled calls use [`Pool::dial`]).
-    fn handshake(&self, subscribe: bool) -> Result<(TcpStream, String), TransportError> {
-        let mut stream = self.pool.connect_any()?;
-        stream
-            .set_read_timeout(Some(self.pool.config.call_timeout))
-            .and_then(|()| stream.set_write_timeout(Some(self.pool.config.call_timeout)))
-            .and_then(|()| stream.set_nodelay(true))
-            .map_err(|e| io_error(&e, "configuring socket"))?;
-        let (kind, payload) = Message::Hello { subscribe }.encode();
-        write_frame(&mut stream, kind, &payload)?;
-        let ack = read_frame(&mut stream).and_then(|f| Message::decode(f.kind, &f.payload))?;
-        match ack {
-            Message::HelloAck { name } => Ok((stream, name)),
-            other => Err(unexpected("HelloAck", &other)),
-        }
-    }
-
-    /// One attempt over a dedicated connection (baseline mode).
-    fn call_once_fresh(&self, request: &Message) -> Result<Message, TransportError> {
-        let (mut stream, _) = self.handshake(false)?;
-        let (kind, payload) = request.encode();
-        write_frame(&mut stream, kind, &payload)?;
-        let reply = read_frame(&mut stream).and_then(|f| Message::decode(f.kind, &f.payload))?;
-        let _ = stream.shutdown(Shutdown::Both);
-        Ok(reply)
-    }
-
-    /// Sends `request` on `conn` and waits for its reply, bounded by
-    /// the call timeout.
-    fn exchange(&self, conn: &Conn, request: &Message) -> Result<Message, TransportError> {
-        // Non-mux peers match replies positionally: hold the exchange
-        // serial for the whole send-and-wait.
-        let _serial = if conn.mux {
-            None
-        } else {
-            Some(lock_unpoisoned(&conn.serial))
-        };
-        let corr = self.pool.next_corr.fetch_add(1, Ordering::Relaxed);
-        lock_unpoisoned(&conn.pending).insert(corr, None);
-        let (kind, payload) = request.encode();
-        let sent = {
-            let mut writer = lock_unpoisoned(&conn.writer);
-            write_frame_corr(&mut *writer, corr, kind, &payload)
-        };
-        if let Err(e) = sent {
-            lock_unpoisoned(&conn.pending).remove(&corr);
-            // A partial frame may be on the wire; nothing after it can
-            // be trusted.
-            conn.kill();
-            return Err(e);
-        }
-        if !conn.alive.load(Ordering::Acquire) {
-            // The reader may have swept `pending` before our slot
-            // existed; do not wait a full timeout to learn that.
-            lock_unpoisoned(&conn.pending).remove(&corr);
-            return Err(TransportError::new(
-                TransportErrorKind::ConnectionLost,
-                "connection died before the request was sent",
-            ));
-        }
-        let deadline = Instant::now() + self.pool.config.call_timeout;
-        let mut pending = lock_unpoisoned(&conn.pending);
-        loop {
-            if let Some(result) = pending.get_mut(&corr).and_then(|slot| slot.take()) {
-                pending.remove(&corr);
-                return result;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                pending.remove(&corr);
-                drop(pending);
-                if !conn.mux {
-                    // A sequential peer still owes a reply; the stream
-                    // is desynchronized for any future exchange.
-                    conn.kill();
-                }
-                return Err(TransportError::new(
-                    TransportErrorKind::Timeout,
-                    format!(
-                        "no reply within {:?} (corr {corr})",
-                        self.pool.config.call_timeout
-                    ),
-                ));
-            }
-            pending = match conn.cv.wait_timeout(pending, deadline - now) {
-                Ok((guard, _)) => guard,
-                Err(e) => e.into_inner().0,
-            };
-        }
-    }
-
-    /// One attempt: acquire a pooled connection and exchange on it. A
-    /// lost connection on a *reused* pooled socket is retried once on a
-    /// fresh dial before surfacing.
-    fn call_once(&self, request: &Message) -> Result<Message, TransportError> {
-        let reply = if self.pool.per_call {
-            self.call_once_fresh(request)?
-        } else {
-            let (conn, fresh) = self.pool.acquire()?;
-            conn.in_flight.fetch_add(1, Ordering::Relaxed);
-            let first = self.exchange(&conn, request);
-            conn.in_flight.fetch_sub(1, Ordering::Relaxed);
-            match first {
-                Err(e) if !fresh && e.kind == TransportErrorKind::ConnectionLost => {
-                    let conn = self.pool.redial()?;
-                    conn.in_flight.fetch_add(1, Ordering::Relaxed);
-                    let second = self.exchange(&conn, request);
-                    conn.in_flight.fetch_sub(1, Ordering::Relaxed);
-                    second?
-                }
-                other => other?,
-            }
-        };
-        match reply {
-            Message::Error { detail } => {
-                Err(TransportError::new(TransportErrorKind::Remote, detail))
-            }
-            other => Ok(other),
-        }
-    }
-
-    /// Sends `request` with the configured retry policy, recording
-    /// latency and failure metrics. The latency histogram times each
-    /// attempt individually — backoff sleeps are not wire time.
-    fn call(&self, request: &Message) -> Result<Message, TransportError> {
-        let m = metrics();
-        let mut attempt = 0;
-        let result = loop {
-            let timer = m.rpc_latency.start_timer();
-            let outcome = self.call_once(request);
-            timer.stop();
-            match outcome {
-                Ok(reply) => break Ok(reply),
-                Err(e) => {
-                    let transient = matches!(
-                        e.kind,
-                        TransportErrorKind::Refused | TransportErrorKind::ConnectionLost
-                    );
-                    if !transient || attempt >= self.pool.config.retries {
-                        break Err(e);
-                    }
-                    m.client_retries.inc();
-                    std::thread::sleep(backoff_delay(
-                        self.pool.config.backoff,
-                        attempt,
-                        self.pool.max_backoff,
-                    ));
-                    attempt += 1;
-                }
-            }
-        };
-        if let Err(e) = &result {
-            if e.kind == TransportErrorKind::Timeout {
-                m.client_timeouts.inc();
-            } else {
-                m.client_failures.inc();
-            }
-        }
-        result
-    }
-
-    /// Liveness probe: a full request/reply round trip (on a pooled
-    /// connection, or its own connection in baseline mode).
+    /// Liveness probe: a full request/reply round trip on a pooled
+    /// connection.
     pub fn ping(&self) -> Result<(), TransportError> {
-        match self.call(&Message::Ping)? {
+        match self.pool.call(&Message::Ping)? {
             Message::Pong => Ok(()),
             other => Err(unexpected("Pong", &other)),
         }
@@ -581,7 +545,7 @@ impl RemoteEngine {
         &self,
         on_notice: impl Fn(&str, Fingerprint, u64) + Send + 'static,
     ) -> Result<Subscription, TransportError> {
-        let (stream, name) = self.handshake(true)?;
+        let (stream, _, name) = self.pool.handshake(true)?;
         // Notices arrive whenever the engine changes — block indefinitely.
         stream
             .set_read_timeout(None)
@@ -660,10 +624,12 @@ impl std::fmt::Debug for Subscription {
     }
 }
 
-fn unexpected(wanted: &str, got: &Message) -> TransportError {
+/// A typed protocol error for a reply of the wrong kind (the kind byte,
+/// not a debug print: replies can be snapshot-sized).
+pub(crate) fn unexpected(wanted: &str, got: &Message) -> TransportError {
     TransportError::new(
         TransportErrorKind::Protocol,
-        format!("expected {wanted}, got {got:?}"),
+        format!("expected {wanted}, got message kind {}", got.encode().0),
     )
 }
 
@@ -685,7 +651,7 @@ impl RemoteTransport for RemoteEngine {
         let ctx = match ctx {
             Some(ctx) if ctx.sampled && !self.peer_lacks_tracing.load(Ordering::Relaxed) => ctx,
             _ => {
-                return match self.call(&Message::SearchDocs {
+                return match self.pool.call(&Message::SearchDocs {
                     query: query_text.to_string(),
                     threshold,
                 })? {
@@ -701,7 +667,7 @@ impl RemoteTransport for RemoteEngine {
             parent_span: ctx.parent_span.0,
             sampled: ctx.sampled,
         };
-        match self.call(&request) {
+        match self.pool.call(&request) {
             Ok(Message::TracedSearchResults { hits, spans }) => Ok((hits, spans)),
             Ok(other) => Err(unexpected("TracedSearchResults", &other)),
             Err(e) if e.kind == TransportErrorKind::Remote => {
@@ -720,7 +686,7 @@ impl RemoteTransport for RemoteEngine {
         query_text: &str,
         threshold: f64,
     ) -> Result<TrueUsefulness, TransportError> {
-        let reply = self.call(&Message::Estimate {
+        let reply = self.pool.call(&Message::Estimate {
             query: query_text.to_string(),
             threshold,
         })?;
@@ -746,7 +712,7 @@ impl RemoteTransport for RemoteEngine {
         if self.peer_lacks_batch.load(Ordering::Relaxed) {
             return per_query();
         }
-        match self.call(&Message::EstimateBatch {
+        match self.pool.call(&Message::EstimateBatch {
             queries: queries.to_vec(),
             threshold,
         }) {
@@ -774,7 +740,7 @@ impl RemoteTransport for RemoteEngine {
     }
 
     fn fetch_snapshot(&self) -> Result<EngineSnapshot, TransportError> {
-        match self.call(&Message::GetRepresentative)? {
+        match self.pool.call(&Message::GetRepresentative)? {
             Message::Representative { snapshot } => Ok(snapshot),
             other => Err(unexpected("Representative", &other)),
         }

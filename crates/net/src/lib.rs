@@ -9,13 +9,15 @@
 //! crate makes it literal with `std::net` TCP — no external
 //! networking stack.
 //!
-//! Three pieces:
+//! One frame transport carries every broker↔node call: a single
+//! readiness event loop ([`server`]) is the only listener that speaks
+//! frames, and a single multiplexed connection pool ([`client`]) is the
+//! only client. The pieces built on them:
 //!
 //! * **[`EngineServer`]** puts one [`SearchEngine`](seu_engine::SearchEngine)
-//!   on a socket behind a readiness event loop (one poll thread plus a
-//!   small worker pool; [`ServerMode::ThreadPerConnection`] keeps the
-//!   old scheduler as a baseline), serving search / true-usefulness
-//!   (single or batched) / snapshot requests and pushing
+//!   on a socket behind the event loop (one poll thread plus a small
+//!   worker pool), serving search / true-usefulness (single or
+//!   batched) / snapshot requests and pushing
 //!   [invalidation notices](wire::Message::InvalidateNotice) to
 //!   subscribed brokers when its collection changes.
 //! * **[`RemoteEngine`]** is the broker-side client: it implements
@@ -28,9 +30,9 @@
 //!   every frame carries a correlation id, one connection pipelines
 //!   many concurrent requests.
 //! * **[`ReplicaServer`]** / **[`RemoteReplica`]** are the federation
-//!   endpoints ([`federation`]): a back-end broker on a socket serving
-//!   subset estimates, subset searches, and engine-lifecycle orders for
-//!   a [`FrontDoor`](seu_metasearch::FrontDoor), and the matching
+//!   endpoints ([`federation`]) on the same loop and pool: a back-end
+//!   broker on a socket serving subset estimates, subset searches, and
+//!   engine-lifecycle orders for a [`FrontDoor`](seu_metasearch::FrontDoor), and the matching
 //!   [`ReplicaClient`](seu_metasearch::ReplicaClient) the front-door
 //!   dials — same placement, failover, and bit-identity guarantees as
 //!   the in-process cluster.
@@ -79,10 +81,10 @@ mod timer;
 pub mod wire;
 
 pub use client::{RemoteEngine, RemoteEngineConfig, Subscription};
-pub use federation::{RemoteReplica, RemoteReplicaConfig, ReplicaServer, ReplicaServerConfig};
+pub use federation::{RemoteReplica, ReplicaServer};
 pub use http::{AdminServer, BrokerAdmin};
 pub use metrics::register_metrics;
-pub use server::{EngineServer, ServerConfig, ServerMode};
+pub use server::{EngineServer, ServerConfig};
 
 use seu_core::UsefulnessEstimator;
 use seu_metasearch::{Broker, TransportError};

@@ -1,25 +1,26 @@
-//! The engine side of the wire: a TCP server wrapping one
-//! [`SearchEngine`].
+//! The server side of the wire: the one readiness event loop every
+//! frame-speaking server runs, and [`EngineServer`], which puts one
+//! [`SearchEngine`] behind it.
 //!
-//! [`EngineServer::bind`] puts an engine on a socket behind a
-//! **readiness event loop**: one thread owns the nonblocking listener
-//! and every connection, parsing frames incrementally out of
-//! per-connection read buffers and flushing replies from write buffers,
-//! while a small worker pool computes the answers. Because replies
-//! carry the request's correlation id, one connection can have many
-//! requests in flight and the replies go out in completion order — a
-//! slow search does not block the pings and estimates pipelined behind
-//! it. Deadlines (connection idle, per-request compute) live in a
-//! timer wheel rather than socket-level read timeouts.
-//! [`EngineServer::bind_with`] selects the legacy thread-per-connection
-//! scheduler instead ([`ServerMode::ThreadPerConnection`]), kept as a
-//! comparison baseline.
+//! The loop (crate-internal `FrameServer`) is one thread that owns the
+//! nonblocking listener and every connection, parsing frames
+//! incrementally out of per-connection read buffers and flushing replies
+//! from write buffers, while a small worker pool computes the answers.
+//! Because replies carry the request's correlation id, one connection
+//! can have many requests in flight and the replies go out in completion
+//! order — a slow search does not block the pings and estimates
+//! pipelined behind it. Deadlines (connection idle, per-request compute)
+//! live in a timer wheel rather than socket-level read timeouts. A
+//! server built on the loop supplies only the name its
+//! [`Message::HelloAck`] advertises and the function turning a decoded
+//! request into a reply: [`EngineServer`] answers engine requests,
+//! [`ReplicaServer`](crate::ReplicaServer) answers federation requests.
 //!
 //! Two connection modes exist, chosen by the client's opening
 //! [`Message::Hello`]:
 //!
-//! * **request connections** (`subscribe: false`) serve the broker's
-//!   calls — search, true usefulness (single or batched), snapshot
+//! * **request connections** (`subscribe: false`) carry calls — for an
+//!   engine: search, true usefulness (single or batched), snapshot
 //!   fetch, ping — any number in flight per connection;
 //! * **subscriber connections** (`subscribe: true`) are held open and
 //!   receive a pushed [`Message::InvalidateNotice`] whenever
@@ -27,17 +28,18 @@
 //!   lets a broker learn of collection changes without polling or
 //!   sweeping: staleness travels *from* the engine *to* the broker.
 //!
-//! The server never panics on a misbehaving peer: undecodable frames get
-//! a typed [`Message::Error`] reply (when the socket still writes) and
-//! the connection is dropped.
+//! The server never panics on a misbehaving peer: undecodable frames, a
+//! non-Hello opening frame, and request kinds the server does not serve
+//! get a typed [`Message::Error`] reply (when the socket still writes)
+//! and the connection is dropped.
 
-use crate::frame::{encode_frame_into, parse_frame, read_frame, write_frame, write_frame_corr};
+use crate::frame::{encode_frame_into, parse_frame};
 use crate::metrics::metrics;
 use crate::timer::TimerWheel;
 use crate::wire::Message;
 use parking_lot::{Mutex, RwLock};
 use seu_engine::SearchEngine;
-use seu_metasearch::{EngineSnapshot, RemoteHit, TransportError};
+use seu_metasearch::{EngineSnapshot, RemoteHit};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -62,24 +64,13 @@ const IDLE_SLEEP_MAX: Duration = Duration::from_millis(2);
 /// the buffer without bound.
 const MAX_WRITE_BUFFER: usize = 64 << 20;
 
-/// How an [`EngineServer`] schedules its connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerMode {
-    /// One readiness event loop owns every connection; a worker pool
-    /// computes replies; requests multiplex per connection. The default.
-    EventLoop,
-    /// One thread per connection, one request in flight at a time (the
-    /// pre-event-loop scheduler, kept as a benchmark baseline).
-    ThreadPerConnection,
-}
-
-/// Tuning for [`EngineServer::bind_with`].
+/// Tuning for a frame server ([`EngineServer::bind_with`],
+/// [`ReplicaServer::bind_with`](crate::ReplicaServer::bind_with)).
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Connection scheduler.
-    pub mode: ServerMode,
-    /// Worker threads computing replies in event-loop mode; 0 picks
-    /// `available_parallelism` clamped to [2, 8].
+    /// Worker threads computing replies — the server's capacity model:
+    /// at most this many requests compute at once, the rest queue. 0
+    /// picks `available_parallelism` clamped to [2, 8].
     pub workers: usize,
     /// Idle cap on request connections.
     pub idle_timeout: Duration,
@@ -91,7 +82,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            mode: ServerMode::EventLoop,
             workers: 0,
             idle_timeout: REQUEST_IDLE_TIMEOUT,
             request_timeout: Duration::from_secs(30),
@@ -99,24 +89,21 @@ impl Default for ServerConfig {
     }
 }
 
-struct Subscriber {
-    id: u64,
-    stream: TcpStream,
-}
+/// Turns a decoded request into its reply on a worker thread; `None`
+/// marks a request kind the server does not serve (the peer gets a typed
+/// error and the connection closes).
+pub(crate) type Answer = Box<dyn Fn(Message) -> Option<Message> + Send + Sync>;
 
-struct ServerState {
+/// State the loop, its workers, and the owning server share.
+struct Shared {
     name: String,
-    engine: RwLock<Arc<SearchEngine>>,
-    epoch: AtomicU64,
     config: ServerConfig,
+    answer: Answer,
     shutting_down: AtomicBool,
-    /// Threaded mode: registered subscriber write halves.
-    subscribers: Mutex<Vec<Subscriber>>,
-    next_subscriber_id: AtomicU64,
-    /// Event mode: live subscriber count (incremented *before* the ack
-    /// is queued, so a client that has its ack is already counted).
-    event_subscribers: AtomicUsize,
-    /// Event mode: pending broadcast frames, drained by the loop.
+    /// Live subscriber count (incremented *before* the ack is queued, so
+    /// a client that has its ack is already counted).
+    subscribers: AtomicUsize,
+    /// Pending broadcast frames, drained by the loop.
     broadcasts: Mutex<Vec<(u8, Vec<u8>)>>,
     wake: Wake,
 }
@@ -156,16 +143,75 @@ impl Wake {
     }
 }
 
-impl ServerState {
-    /// Removes a subscriber by id (threaded mode); balanced gauge
-    /// accounting even when the reader thread and a failed broadcast
-    /// race to remove the same entry.
-    fn drop_subscriber(&self, id: u64) {
-        let mut subs = self.subscribers.lock();
-        let before = subs.len();
-        subs.retain(|s| s.id != id);
-        if subs.len() < before {
-            metrics().server_subscribers.add(-1.0);
+/// A listener speaking frames: the event loop on its own thread, serving
+/// `answer` under `name`. Dropping it stops the loop, closes every
+/// connection, and joins the loop and its workers.
+pub(crate) struct FrameServer {
+    shared: Arc<Shared>,
+    addr: SocketAddr,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl FrameServer {
+    /// Binds `addr` (port 0 for ephemeral) and starts the loop.
+    pub(crate) fn bind(
+        name: String,
+        addr: impl ToSocketAddrs,
+        config: ServerConfig,
+        answer: Answer,
+    ) -> std::io::Result<FrameServer> {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let shared = Arc::new(Shared {
+            name,
+            config,
+            answer,
+            shutting_down: AtomicBool::new(false),
+            subscribers: AtomicUsize::new(0),
+            broadcasts: Mutex::new(Vec::new()),
+            wake: Wake::new(),
+        });
+        let loop_shared = Arc::clone(&shared);
+        let thread = std::thread::Builder::new()
+            .name(format!("seu-net-loop-{}", shared.name))
+            .spawn(move || event_loop(listener, loop_shared))?;
+        Ok(FrameServer {
+            shared,
+            addr,
+            thread: Some(thread),
+        })
+    }
+
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    pub(crate) fn name(&self) -> &str {
+        &self.shared.name
+    }
+
+    pub(crate) fn subscriber_count(&self) -> usize {
+        self.shared.subscribers.load(Ordering::SeqCst)
+    }
+
+    /// Queues `message` for every subscriber and returns how many were
+    /// registered at the call. Delivery is asynchronous: each of them
+    /// either receives the frame or is detected dead and dropped.
+    pub(crate) fn broadcast(&self, message: &Message) -> usize {
+        let notified = self.subscriber_count();
+        self.shared.broadcasts.lock().push(message.encode());
+        self.shared.wake.notify();
+        notified
+    }
+}
+
+impl Drop for FrameServer {
+    fn drop(&mut self) {
+        self.shared.shutting_down.store(true, Ordering::SeqCst);
+        self.shared.wake.notify();
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
         }
     }
 }
@@ -173,15 +219,14 @@ impl ServerState {
 /// A [`SearchEngine`] served over TCP, with push invalidation to
 /// subscribed brokers.
 pub struct EngineServer {
-    state: Arc<ServerState>,
-    addr: SocketAddr,
-    thread: Option<JoinHandle<()>>,
+    engine: Arc<RwLock<Arc<SearchEngine>>>,
+    epoch: AtomicU64,
+    server: FrameServer,
 }
 
 impl EngineServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
-    /// serving `engine` under `name` with the default (event-loop)
-    /// configuration.
+    /// serving `engine` under `name` with the default configuration.
     pub fn bind(
         name: impl Into<String>,
         engine: SearchEngine,
@@ -190,51 +235,35 @@ impl EngineServer {
         EngineServer::bind_with(name, engine, addr, ServerConfig::default())
     }
 
-    /// [`EngineServer::bind`] with explicit scheduling and deadlines.
+    /// [`EngineServer::bind`] with explicit capacity and deadlines.
     pub fn bind_with(
         name: impl Into<String>,
         engine: SearchEngine,
         addr: impl ToSocketAddrs,
         config: ServerConfig,
     ) -> std::io::Result<EngineServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let state = Arc::new(ServerState {
-            name: name.into(),
-            engine: RwLock::new(Arc::new(engine)),
-            epoch: AtomicU64::new(0),
-            config,
-            shutting_down: AtomicBool::new(false),
-            subscribers: Mutex::new(Vec::new()),
-            next_subscriber_id: AtomicU64::new(0),
-            event_subscribers: AtomicUsize::new(0),
-            broadcasts: Mutex::new(Vec::new()),
-            wake: Wake::new(),
+        let name = name.into();
+        let engine = Arc::new(RwLock::new(Arc::new(engine)));
+        let (served, advertised) = (Arc::clone(&engine), name.clone());
+        let answer: Answer = Box::new(move |request| {
+            let engine = Arc::clone(&served.read());
+            answer(&advertised, &engine, request)
         });
-        let thread_state = Arc::clone(&state);
-        let thread = match config.mode {
-            ServerMode::EventLoop => std::thread::Builder::new()
-                .name(format!("seu-net-loop-{}", state.name))
-                .spawn(move || event_loop(listener, thread_state))?,
-            ServerMode::ThreadPerConnection => std::thread::Builder::new()
-                .name(format!("seu-net-accept-{}", state.name))
-                .spawn(move || accept_loop(listener, thread_state))?,
-        };
         Ok(EngineServer {
-            state,
-            addr,
-            thread: Some(thread),
+            engine,
+            epoch: AtomicU64::new(0),
+            server: FrameServer::bind(name, addr, config, answer)?,
         })
     }
 
     /// The bound address (with the ephemeral port resolved).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// The advertised engine name.
     pub fn name(&self) -> &str {
-        &self.state.name
+        self.server.name()
     }
 
     /// The server-side change epoch: how many times [`replace_engine`]
@@ -242,114 +271,48 @@ impl EngineServer {
     ///
     /// [`replace_engine`]: EngineServer::replace_engine
     pub fn epoch(&self) -> u64 {
-        self.state.epoch.load(Ordering::SeqCst)
+        self.epoch.load(Ordering::SeqCst)
     }
 
     /// Live subscriber connections.
     pub fn subscriber_count(&self) -> usize {
-        match self.state.config.mode {
-            ServerMode::EventLoop => self.state.event_subscribers.load(Ordering::SeqCst),
-            ServerMode::ThreadPerConnection => self.state.subscribers.lock().len(),
-        }
+        self.server.subscriber_count()
     }
 
     /// Swaps the served collection and pushes an
     /// [`Message::InvalidateNotice`] with the new fingerprint to every
     /// subscriber. Returns the number of subscribers the notice goes to
-    /// (in event-loop mode delivery is asynchronous: the count is of
-    /// registered subscribers at the swap, each of which either receives
-    /// the notice or is detected dead and dropped).
+    /// (delivery is asynchronous: the count is of registered subscribers
+    /// at the swap, each of which either receives the notice or is
+    /// detected dead and dropped).
     pub fn replace_engine(&self, engine: SearchEngine) -> usize {
         let fingerprint = engine.fingerprint();
-        *self.state.engine.write() = Arc::new(engine);
-        let epoch = self.state.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        let notice = Message::InvalidateNotice {
-            name: self.state.name.clone(),
+        *self.engine.write() = Arc::new(engine);
+        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        self.server.broadcast(&Message::InvalidateNotice {
+            name: self.name().to_string(),
             fingerprint,
             epoch,
-        };
-        let (kind, payload) = notice.encode();
-        match self.state.config.mode {
-            ServerMode::EventLoop => {
-                let notified = self.state.event_subscribers.load(Ordering::SeqCst);
-                self.state.broadcasts.lock().push((kind, payload));
-                self.state.wake.notify();
-                notified
-            }
-            ServerMode::ThreadPerConnection => {
-                let mut notified = 0;
-                let mut dead = Vec::new();
-                {
-                    let mut subs = self.state.subscribers.lock();
-                    for sub in subs.iter_mut() {
-                        match write_frame(&mut sub.stream, kind, &payload) {
-                            Ok(()) => {
-                                metrics().push_notices_sent.inc();
-                                notified += 1;
-                            }
-                            Err(_) => dead.push(sub.id),
-                        }
-                    }
-                }
-                for id in dead {
-                    self.state.drop_subscriber(id);
-                }
-                notified
-            }
-        }
+        })
     }
 
-    /// Stops accepting, closes every connection, and joins the serving
-    /// thread (the event loop also joins its workers).
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        if self.state.shutting_down.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Wake whichever loop is serving: the event loop sleeps on the
-        // condvar, the threaded accept loop blocks in accept().
-        self.state.wake.notify();
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        let ids: Vec<u64> = {
-            let subs = self.state.subscribers.lock();
-            for sub in subs.iter() {
-                let _ = sub.stream.shutdown(Shutdown::Both);
-            }
-            subs.iter().map(|s| s.id).collect()
-        };
-        for id in ids {
-            self.state.drop_subscriber(id);
-        }
-    }
-}
-
-impl Drop for EngineServer {
-    fn drop(&mut self) {
-        self.stop();
+    /// Stops accepting, closes every connection, and joins the loop and
+    /// its workers (dropping the server does the same).
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl std::fmt::Debug for EngineServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineServer")
-            .field("name", &self.state.name)
-            .field("addr", &self.addr)
-            .field("mode", &self.state.config.mode)
+            .field("name", &self.name())
+            .field("addr", &self.addr())
             .field("epoch", &self.epoch())
             .field("subscribers", &self.subscriber_count())
             .finish()
     }
 }
-
-// ---------------------------------------------------------------------
-// Event-loop scheduler
-// ---------------------------------------------------------------------
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum ConnKind {
@@ -392,15 +355,18 @@ struct Job {
     slot: usize,
     gen: u64,
     corr: u64,
+    kind: u8,
     request: Message,
 }
 
-/// A computed reply on its way back to the loop.
+/// A computed reply on its way back to the loop; `close` ends the
+/// connection once the reply is flushed.
 struct Done {
     slot: usize,
     gen: u64,
     corr: u64,
     reply: Message,
+    close: bool,
 }
 
 fn conn_mut(conns: &mut [Option<EventConn>], slot: usize, gen: u64) -> Option<&mut EventConn> {
@@ -410,10 +376,7 @@ fn conn_mut(conns: &mut [Option<EventConn>], slot: usize, gen: u64) -> Option<&m
         .filter(|c| c.gen == gen && !c.dead)
 }
 
-fn event_loop(listener: TcpListener, state: Arc<ServerState>) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
+fn event_loop(listener: TcpListener, state: Arc<Shared>) {
     let workers = if state.config.workers > 0 {
         state.config.workers
     } else {
@@ -513,11 +476,8 @@ fn event_loop(listener: TcpListener, state: Arc<ServerState>) {
                 None => continue,
             }
             if let Some(conn) = conn_mut(&mut conns, d.slot, d.gen) {
-                let fatal = matches!(d.reply, Message::Error { .. });
                 conn.enqueue(d.corr, &d.reply);
-                if fatal {
-                    conn.closing = true;
-                }
+                conn.closing |= d.close;
             }
         }
 
@@ -687,7 +647,7 @@ fn event_loop(listener: TcpListener, state: Arc<ServerState>) {
             }
             if conn.dead {
                 if conn.kind == ConnKind::Subscriber {
-                    state.event_subscribers.fetch_sub(1, Ordering::SeqCst);
+                    state.subscribers.fetch_sub(1, Ordering::SeqCst);
                     m.server_subscribers.add(-1.0);
                 }
                 let _ = conn.stream.shutdown(Shutdown::Both);
@@ -706,10 +666,12 @@ fn event_loop(listener: TcpListener, state: Arc<ServerState>) {
         }
     }
 
-    // Shutdown: close every connection, then drain the worker pool.
+    // Shutdown: refuse new connections, close every live one, then
+    // drain the worker pool.
+    drop(listener);
     for conn in conns.iter_mut().flatten() {
         if conn.kind == ConnKind::Subscriber {
-            state.event_subscribers.fetch_sub(1, Ordering::SeqCst);
+            state.subscribers.fetch_sub(1, Ordering::SeqCst);
             metrics().server_subscribers.add(-1.0);
         }
         let _ = conn.stream.shutdown(Shutdown::Both);
@@ -725,7 +687,7 @@ fn event_loop(listener: TcpListener, state: Arc<ServerState>) {
 /// job for the worker pool (with its deadline armed).
 #[allow(clippy::too_many_arguments)]
 fn handle_frame(
-    state: &Arc<ServerState>,
+    state: &Shared,
     conn: &mut EventConn,
     slot: usize,
     frame: crate::frame::Frame,
@@ -744,7 +706,7 @@ fn handle_frame(
                         // Count first, ack second: a client holding its
                         // ack is guaranteed to be in the next
                         // replace_engine's subscriber count.
-                        state.event_subscribers.fetch_add(1, Ordering::SeqCst);
+                        state.subscribers.fetch_add(1, Ordering::SeqCst);
                         m.server_subscribers.add(1.0);
                     } else {
                         conn.kind = ConnKind::Request;
@@ -759,11 +721,11 @@ fn handle_frame(
                         },
                     );
                 }
-                Ok(other) => {
+                Ok(_) => {
                     conn.enqueue(
                         frame.corr,
                         &Message::Error {
-                            detail: format!("expected Hello, got {other:?}"),
+                            detail: format!("expected Hello, got message kind {}", frame.kind),
                         },
                     );
                     conn.closing = true;
@@ -798,6 +760,7 @@ fn handle_frame(
                         slot,
                         gen: conn.gen,
                         corr: frame.corr,
+                        kind: frame.kind,
                         request,
                     });
                 }
@@ -820,7 +783,7 @@ fn handle_frame(
 fn worker_loop(
     job_rx: Arc<std::sync::Mutex<mpsc::Receiver<Job>>>,
     completions: Arc<std::sync::Mutex<Vec<Done>>>,
-    state: Arc<ServerState>,
+    state: Arc<Shared>,
 ) {
     loop {
         // Holding the lock across recv serializes the *wait*, not the
@@ -830,7 +793,15 @@ fn worker_loop(
             rx.recv()
         };
         let Ok(job) = job else { return };
-        let reply = answer(&state, job.request);
+        let (reply, close) = match (state.answer)(job.request) {
+            Some(reply) => (reply, false),
+            None => (
+                Message::Error {
+                    detail: format!("{} does not serve message kind {}", state.name, job.kind),
+                },
+                true,
+            ),
+        };
         completions
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -839,145 +810,31 @@ fn worker_loop(
                 gen: job.gen,
                 corr: job.corr,
                 reply,
+                close,
             });
         state.wake.notify();
     }
 }
 
-// ---------------------------------------------------------------------
-// Thread-per-connection scheduler (benchmark baseline)
-// ---------------------------------------------------------------------
-
-fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
-    for stream in listener.incoming() {
-        if state.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        metrics().server_connections.inc();
-        let conn_state = Arc::clone(&state);
-        let _ = std::thread::Builder::new()
-            .name(format!("seu-net-conn-{}", state.name))
-            .spawn(move || {
-                let _ = serve_connection(stream, conn_state);
-            });
-    }
-}
-
-/// Runs one connection to completion; errors just end the connection.
-fn serve_connection(mut stream: TcpStream, state: Arc<ServerState>) -> Result<(), TransportError> {
-    stream
-        .set_read_timeout(Some(state.config.idle_timeout))
-        .map_err(|e| crate::frame::io_error(&e, "setting read timeout"))?;
-    let hello = read_frame(&mut stream)?;
-    let hello_corr = hello.corr;
-    let subscribe = match Message::decode(hello.kind, &hello.payload) {
-        Ok(Message::Hello { subscribe }) => subscribe,
-        Ok(other) => {
-            let (kind, payload) = Message::Error {
-                detail: format!("expected Hello, got {other:?}"),
-            }
-            .encode();
-            let _ = write_frame_corr(&mut stream, hello_corr, kind, &payload);
-            return Ok(());
-        }
-        Err(e) => return Err(e),
+/// The engine's answer function: search, true usefulness (single or
+/// batched), and snapshot fetch against the currently served engine.
+fn answer(name: &str, engine: &SearchEngine, request: Message) -> Option<Message> {
+    let hits_of = |query: &str, threshold: f64| -> Vec<RemoteHit> {
+        let c = engine.collection();
+        let q = c.query_from_text(query);
+        engine
+            .search_threshold(&q, threshold)
+            .into_iter()
+            .map(|h| RemoteHit {
+                doc: c.doc(h.doc).name.clone(),
+                sim: h.sim,
+            })
+            .collect()
     };
-    let (kind, payload) = Message::HelloAck {
-        name: state.name.clone(),
-    }
-    .encode();
-    if subscribe {
-        serve_subscriber(stream, state, hello_corr, kind, &payload)
-    } else {
-        // Requests are answered strictly in arrival order on this
-        // scheduler, so echoing the id is still a correct multiplexing
-        // contract: pipelined replies come back in request order with
-        // matching ids.
-        write_frame_corr(&mut stream, hello_corr, kind, &payload)?;
-        serve_requests(stream, state)
-    }
-}
-
-/// A subscriber connection carries no requests: register the write half
-/// for broadcasts and park reading until the peer hangs up. The ack is
-/// written under the subscribers lock, *after* registration, so a
-/// concurrent [`EngineServer::replace_engine`] can neither skip this
-/// subscriber nor push a notice ahead of the ack.
-fn serve_subscriber(
-    stream: TcpStream,
-    state: Arc<ServerState>,
-    ack_corr: u64,
-    ack_kind: u8,
-    ack_payload: &[u8],
-) -> Result<(), TransportError> {
-    let write_half = stream
-        .try_clone()
-        .map_err(|e| crate::frame::io_error(&e, "cloning subscriber stream"))?;
-    let id = state.next_subscriber_id.fetch_add(1, Ordering::SeqCst);
-    {
-        let mut subs = state.subscribers.lock();
-        subs.push(Subscriber {
-            id,
-            stream: write_half,
-        });
-        let sub = subs.last_mut().expect("just pushed");
-        if let Err(e) = write_frame_corr(&mut sub.stream, ack_corr, ack_kind, ack_payload) {
-            subs.pop();
-            return Err(e);
-        }
-    }
-    metrics().server_subscribers.add(1.0);
-
-    let mut read_half = stream;
-    // Block (without the idle cap — subscriptions are long-lived) until
-    // the peer disconnects; any frame it does send is ignored.
-    let _ = read_half.set_read_timeout(None);
-    loop {
-        if read_frame(&mut read_half).is_err() {
-            break;
-        }
-    }
-    state.drop_subscriber(id);
-    Ok(())
-}
-
-fn serve_requests(mut stream: TcpStream, state: Arc<ServerState>) -> Result<(), TransportError> {
-    loop {
-        // EOF / reset / idle timeout: the client is done with us.
-        let frame = read_frame(&mut stream)?;
-        metrics().server_requests.inc();
-        let reply = match Message::decode(frame.kind, &frame.payload) {
-            Ok(request) => answer(&state, request),
-            Err(e) => Message::Error {
-                detail: format!("undecodable request: {e}"),
-            },
-        };
-        let fatal = matches!(reply, Message::Error { .. });
-        let (kind, payload) = reply.encode();
-        write_frame_corr(&mut stream, frame.corr, kind, &payload)?;
-        if fatal {
-            return Ok(());
-        }
-    }
-}
-
-fn answer(state: &ServerState, request: Message) -> Message {
-    let engine = Arc::clone(&state.engine.read());
-    match request {
-        Message::SearchDocs { query, threshold } => {
-            let c = engine.collection();
-            let q = c.query_from_text(&query);
-            let hits = engine
-                .search_threshold(&q, threshold)
-                .into_iter()
-                .map(|h| RemoteHit {
-                    doc: c.doc(h.doc).name.clone(),
-                    sim: h.sim,
-                })
-                .collect();
-            Message::SearchResults { hits }
-        }
+    Some(match request {
+        Message::SearchDocs { query, threshold } => Message::SearchResults {
+            hits: hits_of(&query, threshold),
+        },
         Message::TracedSearchDocs {
             query,
             threshold,
@@ -988,16 +845,7 @@ fn answer(state: &ServerState, request: Message) -> Message {
             metrics().server_traced_searches.inc();
             let started = std::time::Instant::now();
             let start_unix_ns = seu_obs::unix_now_ns();
-            let c = engine.collection();
-            let q = c.query_from_text(&query);
-            let hits: Vec<RemoteHit> = engine
-                .search_threshold(&q, threshold)
-                .into_iter()
-                .map(|h| RemoteHit {
-                    doc: c.doc(h.doc).name.clone(),
-                    sim: h.sim,
-                })
-                .collect();
+            let hits = hits_of(&query, threshold);
             // Author the server-side span by hand: there is no tracer on
             // this side, just an id minted into the caller's trace. The
             // caller grafts it under its dispatch span via the parent
@@ -1010,7 +858,7 @@ fn answer(state: &ServerState, request: Message) -> Message {
                     start_unix_ns,
                     duration_ns: started.elapsed().as_nanos() as u64,
                     attrs: vec![
-                        ("engine".to_string(), state.name.clone()),
+                        ("engine".to_string(), name.to_string()),
                         ("hits".to_string(), hits.len().to_string()),
                         ("trace_id".to_string(), seu_obs::TraceId(trace_id).to_hex()),
                     ],
@@ -1042,11 +890,8 @@ fn answer(state: &ServerState, request: Message) -> Message {
             Message::UsefulnessBatch { results }
         }
         Message::GetRepresentative => Message::Representative {
-            snapshot: EngineSnapshot::of_engine(&state.name, &engine),
+            snapshot: EngineSnapshot::of_engine(name, engine),
         },
-        Message::Ping => Message::Pong,
-        other => Message::Error {
-            detail: format!("unexpected request {other:?}"),
-        },
-    }
+        _ => return None,
+    })
 }

@@ -18,6 +18,10 @@
 //!   a [`ManualClock`], so the test never sleeps;
 //! - replica joins and leaves (rebalances shipping engines over TCP)
 //!   keep the federated answer bit-identical throughout.
+//! - malformed input at the replica listener (a length-lying frame
+//!   header, a garbage payload, a non-Hello opening frame, an
+//!   engine-only request kind) gets a typed error and a closed
+//!   connection, and the replica keeps serving fresh clients.
 
 use seu_core::SubrangeEstimator;
 use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
@@ -516,4 +520,117 @@ fn rebalance_over_tcp_keeps_answers_bit_identical() {
     assert_clean_conformance(&control, &fd, "after leave");
     drop(server0);
     drop(server1);
+}
+
+/// Every sabotage below gets one typed `Error` frame, then the server
+/// closes the connection; between sabotages a fresh client must still
+/// be served, so no malformed peer can panic or wedge the listener.
+#[test]
+fn replica_listener_rejects_malformed_input_and_keeps_serving() {
+    use seu_net::frame::{read_frame, write_frame_corr, MAGIC, MAX_FRAME_BYTES, PROTOCOL_VERSION};
+    use seu_net::wire::Message;
+    use std::io::Write;
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    let fleet = engine_fleet(1);
+    let (name, engine_server) = &fleet[0];
+    let server = ReplicaServer::bind("r0", replica_broker(), "127.0.0.1:0").expect("bind replica");
+    RemoteReplica::new(server.addr())
+        .expect("dial replica")
+        .install(&InstallSpec {
+            name: name.clone(),
+            source: Some(EngineSource::Remote {
+                endpoint: engine_server.addr().to_string(),
+            }),
+            snapshot: None,
+        })
+        .expect("install");
+
+    let estimate = Message::ReplicaEstimate {
+        query: "database query".to_string(),
+        threshold: 0.1,
+        engines: vec![name.clone()],
+    };
+    let send = |s: &mut TcpStream, message: &Message| {
+        let (kind, payload) = message.encode();
+        write_frame_corr(s, 7, kind, &payload).expect("send frame");
+    };
+    let hello = |s: &mut TcpStream| {
+        send(s, &Message::Hello { subscribe: false });
+        let ack = read_frame(s).expect("handshake ack");
+        assert!(
+            matches!(
+                Message::decode(ack.kind, &ack.payload),
+                Ok(Message::HelloAck { .. })
+            ),
+            "replica did not ack the handshake"
+        );
+    };
+    type Sabotage<'a> = Box<dyn Fn(&mut TcpStream) + 'a>;
+    let cases: Vec<(&str, Sabotage)> = vec![
+        (
+            "length-lying frame header",
+            Box::new(|s| {
+                hello(s);
+                let mut header = Vec::new();
+                header.extend_from_slice(&MAGIC.to_be_bytes());
+                header.push(PROTOCOL_VERSION);
+                header.push(estimate.encode().0);
+                header.extend_from_slice(&8u64.to_be_bytes());
+                header.extend_from_slice(&(MAX_FRAME_BYTES as u32 + 1).to_be_bytes());
+                s.write_all(&header).expect("send header");
+            }),
+        ),
+        (
+            "garbage payload",
+            Box::new(|s| {
+                hello(s);
+                write_frame_corr(s, 8, estimate.encode().0, &[0xFF; 11]).expect("send frame");
+            }),
+        ),
+        ("non-Hello opening frame", Box::new(|s| send(s, &estimate))),
+        (
+            "engine-only request kind",
+            Box::new(|s| {
+                hello(s);
+                send(
+                    s,
+                    &Message::SearchDocs {
+                        query: "database".to_string(),
+                        threshold: 0.0,
+                    },
+                );
+            }),
+        ),
+    ];
+
+    for (label, sabotage) in &cases {
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        sabotage(&mut stream);
+        let reply =
+            read_frame(&mut stream).unwrap_or_else(|e| panic!("{label}: no reply frame ({e})"));
+        match Message::decode(reply.kind, &reply.payload) {
+            Ok(Message::Error { detail }) => assert!(!detail.is_empty(), "{label}: empty detail"),
+            other => panic!("{label}: expected a typed Error, got {other:?}"),
+        }
+        let after = read_frame(&mut stream).expect_err("connection must close after the error");
+        assert_eq!(
+            after.kind,
+            TransportErrorKind::ConnectionLost,
+            "{label}: connection left open ({after})"
+        );
+
+        let fresh = RemoteReplica::new(server.addr()).expect("dial replica");
+        fresh
+            .ping()
+            .unwrap_or_else(|e| panic!("{label}: ping after sabotage: {e}"));
+        let estimates = fresh
+            .estimate_subset("database query", 0.1, std::slice::from_ref(name))
+            .unwrap_or_else(|e| panic!("{label}: estimate after sabotage: {e}"));
+        assert_eq!(estimates.len(), 1, "{label}");
+    }
 }
