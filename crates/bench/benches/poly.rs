@@ -1,5 +1,6 @@
-//! Generating-function expansion: exact sparse product vs dense grid
-//! convolution, scaling with the number of factors (query length).
+//! Generating-function expansion: exact sparse product, its
+//! threshold-pruned tail, and dense grid convolution, scaling with the
+//! number of factors (query length).
 //!
 //! Feeds DESIGN.md experiment E10 (ablation-grid): the exact expansion is
 //! exponential in the factor count, the grid linear — the crossover is
@@ -33,6 +34,19 @@ fn bench_exact_scaling(c: &mut Criterion) {
                 let g = SparsePoly::product(black_box(fs));
                 g.tail_above(0.3).mass
             })
+        });
+    }
+    group.finish();
+}
+
+fn bench_pruned_tail_scaling(c: &mut Criterion) {
+    let mut group = c.benchmark_group("tail_of_product");
+    for r in [6usize, 8, 10] {
+        let factors: Vec<SparsePoly> = (0..r)
+            .map(|i| SparsePoly::spike_factor(factor(i)))
+            .collect();
+        group.bench_with_input(BenchmarkId::from_parameter(r), &factors, |b, fs| {
+            b.iter(|| SparsePoly::tail_of_product(black_box(fs), 0.3).0.mass)
         });
     }
     group.finish();
@@ -89,6 +103,7 @@ fn bench_compact(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_exact_scaling,
+    bench_pruned_tail_scaling,
     bench_grid_scaling,
     bench_grid_resolution,
     bench_compact

@@ -64,28 +64,5 @@ fn bench_storage(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_maxscore(c: &mut Criterion) {
-    let f = fixture(761, 1, 400, 37);
-    let engine = seu_engine::SearchEngine::new(f.collection.clone());
-    let mut group = c.benchmark_group("top_10_strategies");
-    group.bench_function("plain", |b| {
-        b.iter(|| {
-            f.queries
-                .iter()
-                .map(|q| engine.search_top_k(q, 10).len())
-                .sum::<usize>()
-        })
-    });
-    group.bench_function("maxscore", |b| {
-        b.iter(|| {
-            f.queries
-                .iter()
-                .map(|q| engine.search_top_k_maxscore(q, 10).len())
-                .sum::<usize>()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_pipeline, bench_storage, bench_maxscore);
+criterion_group!(benches, bench_pipeline, bench_storage);
 criterion_main!(benches);

@@ -126,7 +126,7 @@ pub fn search(
     let engine = load_engine(engine)?;
     let query = engine.collection().query_from_text(query_text);
     let hits = match top_k {
-        Some(k) => engine.search_top_k_maxscore(&query, k),
+        Some(k) => engine.search_top_k(&query, k),
         None => engine.search_threshold(&query, threshold),
     };
     writeln!(out, "{} hits", hits.len()).map_err(|e| io_err("writing output", e))?;

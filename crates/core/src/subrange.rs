@@ -5,7 +5,10 @@
 //! median weights (Expression (8)); the spikes become a factor polynomial
 //! whose exponents are the weights scaled by the query term weight `u`.
 //! The expanded product of the factors is the generating function; its
-//! tail above the threshold yields `est_NoDoc` and `est_AvgSim`.
+//! tail above the threshold yields `est_NoDoc` and `est_AvgSim`. A
+//! single-threshold [`estimate`](UsefulnessEstimator::estimate) expands
+//! only the part of the product that can still cross the threshold
+//! ([`SparsePoly::tail_of_product`]); sweeps and curves expand it whole.
 //!
 //! With the paper's six-subrange scheme the highest subrange holds only
 //! the maximum normalized weight with probability `1/n`, which guarantees
@@ -21,8 +24,13 @@ use seu_repr::{MaxWeightMode, Representative, SubrangeScheme};
 use std::sync::{Arc, OnceLock};
 
 /// Instrument handles cached once per process. The `raw` count is the
-/// unmerged expansion size (product of per-factor spike counts); the
-/// difference to the stored term count is what epsilon merging pruned.
+/// unmerged size of the full expansion (product of per-factor term
+/// counts). The `expanded` count and the size histogram are the terms
+/// actually materialised: the full product's stored terms for a sweep or
+/// a curve, and for a single-threshold estimate the partial products'
+/// terms summed over every step of the threshold-pruned expansion. The
+/// `pruned` count is `raw - expanded` (saturating at 0): what epsilon
+/// merging and threshold pruning saved.
 struct EstimatorMetrics {
     invocations: Arc<seu_obs::Counter>,
     sweeps: Arc<seu_obs::Counter>,
@@ -67,6 +75,8 @@ pub enum Expansion {
     /// Exact sparse expansion with epsilon exponent merging. Exponential
     /// in query length in the worst case, but exact; fine for the short
     /// (<= 6 term) queries of the Internet workloads the paper targets.
+    /// A single-threshold estimate expands only the terms that can still
+    /// cross the threshold.
     #[default]
     Exact,
     /// Dense grid convolution with the given number of cells over
@@ -215,49 +225,74 @@ impl SubrangeEstimator {
     fn expand_exact(&self, factors: &[Vec<(f64, f64)>]) -> SparsePoly {
         let m = metrics();
         let timer = m.expansion_seconds.start_timer();
-        let polys: Vec<SparsePoly> = factors
-            .iter()
-            .map(|spikes| SparsePoly::spike_factor(spikes.iter().map(|&(p, e)| (p, e))))
-            .collect();
+        let polys = spike_polys(factors);
         let g = SparsePoly::product(&polys);
         timer.stop();
-        let raw: u64 = polys
-            .iter()
-            .fold(1u64, |acc, p| acc.saturating_mul(p.len().max(1) as u64));
-        let expanded = g.len() as u64;
-        m.expansions.inc();
-        m.terms_raw.add(raw);
-        m.terms_expanded.add(expanded);
-        m.terms_pruned.add(raw.saturating_sub(expanded));
-        m.expansion_size.observe(expanded as f64);
+        record_expansion(&polys, g.len() as u64);
         g
     }
 
-    fn tail(&self, factors: &[Vec<(f64, f64)>], threshold: f64) -> TailStats {
-        match self.expansion {
-            Expansion::Exact => self.expand_exact(factors).tail_above(threshold),
-            Expansion::Grid { cells } => {
-                let max_exp: f64 = factors
-                    .iter()
-                    .map(|spikes| spikes.iter().map(|&(_, e)| e).fold(0.0f64, f64::max))
-                    .sum();
-                if max_exp <= 0.0 {
-                    return TailStats::default();
-                }
-                let m = metrics();
-                let timer = m.expansion_seconds.start_timer();
-                let mut g = GridPoly::identity(max_exp, cells);
-                for spikes in factors {
-                    g.convolve_spikes(spikes);
-                }
-                let tail = g.tail_above(threshold);
-                timer.stop();
-                m.expansions.inc();
-                m.grid_cells
-                    .add((cells as u64).saturating_mul(factors.len() as u64));
-                tail
-            }
+    /// The exact tail above one threshold, expanding only the part of the
+    /// product that can still cross it ([`SparsePoly::tail_of_product`]).
+    fn tail_exact(&self, factors: &[Vec<(f64, f64)>], threshold: f64) -> TailStats {
+        let m = metrics();
+        let timer = m.expansion_seconds.start_timer();
+        let polys = spike_polys(factors);
+        let (tail, expanded) = SparsePoly::tail_of_product(&polys, threshold);
+        timer.stop();
+        record_expansion(&polys, expanded as u64);
+        tail
+    }
+
+    /// The dense grid expansion, or `None` when no factor has a positive
+    /// exponent (every tail is then empty).
+    fn expand_grid(&self, factors: &[Vec<(f64, f64)>], cells: usize) -> Option<GridPoly> {
+        let max_exp: f64 = factors
+            .iter()
+            .map(|spikes| spikes.iter().map(|&(_, e)| e).fold(0.0f64, f64::max))
+            .sum();
+        if max_exp <= 0.0 {
+            return None;
         }
+        let m = metrics();
+        let timer = m.expansion_seconds.start_timer();
+        let mut g = GridPoly::identity(max_exp, cells);
+        for spikes in factors {
+            g.convolve_spikes(spikes);
+        }
+        timer.stop();
+        m.expansions.inc();
+        m.grid_cells
+            .add((cells as u64).saturating_mul(factors.len() as u64));
+        Some(g)
+    }
+}
+
+fn spike_polys(factors: &[Vec<(f64, f64)>]) -> Vec<SparsePoly> {
+    factors
+        .iter()
+        .map(|spikes| SparsePoly::spike_factor(spikes.iter().copied()))
+        .collect()
+}
+
+/// Records one exact expansion: `raw` is the unmerged size of the full
+/// product, `expanded` the terms actually materialised.
+fn record_expansion(polys: &[SparsePoly], expanded: u64) {
+    let m = metrics();
+    let raw: u64 = polys
+        .iter()
+        .fold(1u64, |acc, p| acc.saturating_mul(p.len().max(1) as u64));
+    m.expansions.inc();
+    m.terms_raw.add(raw);
+    m.terms_expanded.add(expanded);
+    m.terms_pruned.add(raw.saturating_sub(expanded));
+    m.expansion_size.observe(expanded as f64);
+}
+
+fn usefulness(n_docs: u64, tail: TailStats) -> Usefulness {
+    Usefulness {
+        no_doc: n_docs as f64 * tail.mass,
+        avg_sim: tail.avg_exponent(),
     }
 }
 
@@ -268,11 +303,14 @@ impl UsefulnessEstimator for SubrangeEstimator {
         if factors.is_empty() {
             return Usefulness::default();
         }
-        let tail = self.tail(&factors, threshold);
-        Usefulness {
-            no_doc: repr.n_docs() as f64 * tail.mass,
-            avg_sim: tail.avg_exponent(),
-        }
+        let tail = match self.expansion {
+            Expansion::Exact => self.tail_exact(&factors, threshold),
+            Expansion::Grid { cells } => self
+                .expand_grid(&factors, cells)
+                .map(|g| g.tail_above(threshold))
+                .unwrap_or_default(),
+        };
+        usefulness(repr.n_docs(), tail)
     }
 
     fn estimate_sweep(
@@ -287,31 +325,20 @@ impl UsefulnessEstimator for SubrangeEstimator {
             return vec![Usefulness::default(); thresholds.len()];
         }
         // The expansion does not depend on the threshold: do it once.
-        match self.expansion {
+        let tails: Vec<TailStats> = match self.expansion {
             Expansion::Exact => {
                 let g = self.expand_exact(&factors);
-                thresholds
-                    .iter()
-                    .map(|&t| {
-                        let tail = g.tail_above(t);
-                        Usefulness {
-                            no_doc: repr.n_docs() as f64 * tail.mass,
-                            avg_sim: tail.avg_exponent(),
-                        }
-                    })
-                    .collect()
+                thresholds.iter().map(|&t| g.tail_above(t)).collect()
             }
-            Expansion::Grid { .. } => thresholds
-                .iter()
-                .map(|&t| {
-                    let tail = self.tail(&factors, t);
-                    Usefulness {
-                        no_doc: repr.n_docs() as f64 * tail.mass,
-                        avg_sim: tail.avg_exponent(),
-                    }
-                })
-                .collect(),
-        }
+            Expansion::Grid { cells } => match self.expand_grid(&factors, cells) {
+                Some(g) => thresholds.iter().map(|&t| g.tail_above(t)).collect(),
+                None => vec![TailStats::default(); thresholds.len()],
+            },
+        };
+        tails
+            .into_iter()
+            .map(|tail| usefulness(repr.n_docs(), tail))
+            .collect()
     }
 
     fn name(&self) -> &'static str {
@@ -405,6 +432,17 @@ mod tests {
             MaxWeightMode::Stored,
             Expansion::Grid { cells: 4096 },
         );
+        let (r, q) = four_term_repr();
+        for t in [0.1, 0.2, 0.3] {
+            let a = exact.estimate(&r, &q, t);
+            let b = grid.estimate(&r, &q, t);
+            // Grid rounds down, so b <= a; the gap shrinks with cells.
+            assert!(b.no_doc <= a.no_doc + 1e-9, "t={t}");
+            assert!((a.no_doc - b.no_doc) < 0.05 * a.no_doc.max(1.0), "t={t}");
+        }
+    }
+
+    fn four_term_repr() -> (Representative, Query) {
         let stats: Vec<TermStats> = (0..4)
             .map(|i| TermStats {
                 p: 0.2 + 0.1 * i as f64,
@@ -415,12 +453,23 @@ mod tests {
             .collect();
         let r = Representative::from_parts(200, stats, 0);
         let q = Query::new((0..4).map(|i| (TermId(i), 0.5)));
-        for t in [0.1, 0.2, 0.3] {
-            let a = exact.estimate(&r, &q, t);
-            let b = grid.estimate(&r, &q, t);
-            // Grid rounds down, so b <= a; the gap shrinks with cells.
-            assert!(b.no_doc <= a.no_doc + 1e-9, "t={t}");
-            assert!((a.no_doc - b.no_doc) < 0.05 * a.no_doc.max(1.0), "t={t}");
+        (r, q)
+    }
+
+    #[test]
+    fn grid_sweep_equals_pointwise_bit_for_bit() {
+        let grid = SubrangeEstimator::new(
+            SubrangeScheme::paper_six(),
+            MaxWeightMode::Stored,
+            Expansion::Grid { cells: 1024 },
+        );
+        let (r, q) = four_term_repr();
+        let thresholds = [-0.1, 0.0, 0.1, 0.2, 0.3, 0.45, 0.6, 2.0];
+        let sweep = grid.estimate_sweep(&r, &q, &thresholds);
+        for (&t, s) in thresholds.iter().zip(&sweep) {
+            let p = grid.estimate(&r, &q, t);
+            assert_eq!(s.no_doc.to_bits(), p.no_doc.to_bits(), "t={t}");
+            assert_eq!(s.avg_sim.to_bits(), p.avg_sim.to_bits(), "t={t}");
         }
     }
 

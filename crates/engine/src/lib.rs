@@ -24,7 +24,6 @@ pub mod query;
 pub mod search;
 pub mod shared;
 pub mod storage;
-pub mod topk;
 pub mod weighting;
 
 pub use collection::{Collection, CollectionBuilder, DocId, Document, Fingerprint};

@@ -135,8 +135,8 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     }
 
     /// Allocated retrieval: splits the `k_total` budget across engines by
-    /// estimated usefulness, fetches each engine's allocated top documents
-    /// (max-score pruned), merges by global similarity, and returns at
+    /// estimated usefulness, fetches each engine's allocated top documents,
+    /// merges by global similarity, and returns at
     /// most `k_total` documents.
     ///
     /// Compared with asking every engine for `k_total` documents and
@@ -159,7 +159,7 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
             .filter(|(_, a)| a.k > 0)
             .map(|(planned, a)| match &planned.handle {
                 EngineHandle::Local(engine) => engine
-                    .search_top_k_maxscore(planned.query(), a.k as usize)
+                    .search_top_k(planned.query(), a.k as usize)
                     .into_iter()
                     .map(|h| crate::broker::MergedHit {
                         engine: planned.name.clone(),
@@ -167,11 +167,10 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                         sim: h.sim,
                     })
                     .collect(),
-                // A remote engine has no max-score pruned top-k call on
-                // the wire; ask for everything above the floor and keep
-                // its allocated share (results arrive best first). A
-                // failed transport contributes nothing, like a failed
-                // dispatch.
+                // A remote engine has no top-k call on the wire; ask for
+                // everything above the floor and keep its allocated share
+                // (results arrive best first). A failed transport
+                // contributes nothing, like a failed dispatch.
                 EngineHandle::Remote { transport, .. } => transport
                     .search(&plan.query, 0.0, None)
                     .map(|(hits, _spans)| {

@@ -16,7 +16,11 @@
 //! * [`SparsePoly`] — exact expansion; terms with exponents closer than an
 //!   epsilon are merged ("merging terms with the same `X^s`" in the paper).
 //!   A 6-term query under the six-subrange scheme expands to at most
-//!   `6^6 = 46 656` terms, comfortably exact.
+//!   `7^6 = 117 649` terms (six spikes plus the remainder at `X^0` per
+//!   factor), comfortably exact. When only one threshold matters,
+//!   [`SparsePoly::tail_of_product`] expands just the partial products
+//!   that can still cross it: terms that cannot reach the threshold are
+//!   dropped and terms already above it are collapsed in closed form.
 //! * [`GridPoly`] — a fixed-resolution dense alternative with `O(r * G)`
 //!   cost for `r` factors and `G` grid cells, for long queries; the
 //!   accuracy/speed trade-off is quantified by the `poly_scaling` bench and

@@ -133,16 +133,7 @@ impl SparsePoly {
     /// Multiplies two polynomials (distribution convolution), merging
     /// exponents within this polynomial's epsilon.
     pub fn mul(&self, other: &SparsePoly) -> SparsePoly {
-        if self.is_empty() || other.is_empty() {
-            return SparsePoly::zero();
-        }
-        let mut products = Vec::with_capacity(self.terms.len() * other.terms.len());
-        for &(e1, c1) in &self.terms {
-            for &(e2, c2) in &other.terms {
-                products.push((e1 + e2, c1 * c2));
-            }
-        }
-        SparsePoly::from_terms_with_eps(products, self.eps)
+        mul_terms(&self.terms, &other.terms, self.eps)
     }
 
     /// Multiplies a sequence of factors together, smallest-first to keep
@@ -158,6 +149,105 @@ impl SparsePoly {
             acc = acc.mul(f);
         }
         acc
+    }
+
+    /// `product(factors).tail_above(t)` without expanding the parts of
+    /// the product that cannot change it. Returns the tail and the number
+    /// of terms materialised, summed over all multiplication steps.
+    ///
+    /// Factors are multiplied in the same smallest-first order as
+    /// [`SparsePoly::product`]. Before each step the partial product's
+    /// terms split three ways against the factors still to come:
+    ///
+    /// * **dead** — even adding every remaining factor's largest exponent
+    ///   leaves the term at or below `t`: no descendant can clear `t`,
+    ///   so the term is dropped;
+    /// * **above** — the exponent already exceeds `t`: every descendant
+    ///   does too, so the term is collapsed in closed form. A term
+    ///   `c·X^e` times the remaining product `R` contributes `c·R(1)` to
+    ///   the mass and `c·(e·R(1) + R'(1))` to the weighted mass, where
+    ///   `R(1)` and `R'(1)` come from the remaining factors' actual
+    ///   [`total_mass`](SparsePoly::total_mass) and
+    ///   [`mean_exponent`](SparsePoly::mean_exponent);
+    /// * **alive** — everything else is multiplied out as in `product`,
+    ///   except by the last factor, whose products are summed into the
+    ///   tail without being stored.
+    ///
+    /// The split is exact in exact arithmetic when no exponent is negative
+    /// (descendants' exponents only grow); with a negative exponent this
+    /// falls back to the full product. The dead test adds the remaining
+    /// maxima in multiplication order, so floating-point rounding cannot
+    /// drop a term the full product would count. Results differ from the
+    /// full product only in summation order and in the epsilon merges the
+    /// full product makes across the split and in its last step.
+    pub fn tail_of_product(factors: &[SparsePoly], t: f64) -> (TailStats, usize) {
+        if factors
+            .iter()
+            .any(|f| f.terms.first().is_some_and(|&(e, _)| e < 0.0))
+        {
+            let g = SparsePoly::product(factors);
+            return (g.tail_above(t), g.len());
+        }
+        if factors.is_empty() {
+            return (SparsePoly::one().tail_above(t), 0);
+        }
+        if factors.iter().any(SparsePoly::is_empty) {
+            return (TailStats::default(), 0);
+        }
+        let mut sorted: Vec<&SparsePoly> = factors.iter().collect();
+        sorted.sort_by_key(|f| f.len());
+        // rest[i]: value and derivative at X = 1 of the product of
+        // sorted[i..].
+        let mut rest = vec![(1.0, 0.0); sorted.len() + 1];
+        for (i, f) in sorted.iter().enumerate().rev() {
+            let (mass, mean) = (f.total_mass(), f.mean_exponent());
+            let (rest_mass, rest_weighted) = rest[i + 1];
+            rest[i] = (mass * rest_mass, mean * rest_mass + mass * rest_weighted);
+        }
+
+        let mut tail = TailStats::default();
+        let mut expanded = 0;
+        let mut acc = SparsePoly::one();
+        for (i, f) in sorted.iter().enumerate() {
+            // Terms ascend by exponent and both tests are monotone in it,
+            // so dead terms are a prefix and above terms a suffix.
+            let terms = acc.terms();
+            let reach = |e: f64| {
+                sorted[i..]
+                    .iter()
+                    .fold(e, |sum, g| sum + g.terms[g.terms.len() - 1].0)
+            };
+            let live_from = terms.partition_point(|&(e, _)| reach(e) <= t);
+            let above_from = terms.partition_point(|&(e, _)| e <= t);
+            let (mut mass, mut weighted) = (0.0, 0.0);
+            for &(e, c) in &terms[above_from..] {
+                mass += c;
+                weighted += e * c;
+            }
+            let (rest_mass, rest_weighted) = rest[i];
+            tail.mass += mass * rest_mass;
+            tail.weighted_mass += weighted * rest_mass + mass * rest_weighted;
+
+            let live = &terms[live_from..above_from];
+            if i + 1 == sorted.len() {
+                for &(e1, c1) in live {
+                    for &(e2, c2) in &f.terms {
+                        let (e, c) = (e1 + e2, c1 * c2);
+                        if e > t {
+                            tail.mass += c;
+                            tail.weighted_mass += e * c;
+                        }
+                    }
+                }
+                break;
+            }
+            if live.is_empty() {
+                break;
+            }
+            acc = mul_terms(live, &f.terms, acc.eps);
+            expanded += acc.len();
+        }
+        (tail, expanded)
     }
 
     /// Tail statistics strictly above threshold `t`: `Σ_{b_i > t} a_i` and
@@ -212,6 +302,20 @@ impl SparsePoly {
             self.terms.remove(best + 1);
         }
     }
+}
+
+/// Product of two ascending term lists, merging exponents within `eps`.
+fn mul_terms(a: &[(f64, f64)], b: &[(f64, f64)], eps: f64) -> SparsePoly {
+    if a.is_empty() || b.is_empty() {
+        return SparsePoly::zero();
+    }
+    let mut products = Vec::with_capacity(a.len() * b.len());
+    for &(e1, c1) in a {
+        for &(e2, c2) in b {
+            products.push((e1 + e2, c1 * c2));
+        }
+    }
+    SparsePoly::from_terms_with_eps(products, eps)
 }
 
 #[cfg(test)]
@@ -289,6 +393,98 @@ mod tests {
         assert_eq!(g, SparsePoly::one());
         assert_eq!(g.tail_above(-1.0).mass, 1.0);
         assert_eq!(g.tail_above(0.0).mass, 0.0);
+    }
+
+    fn assert_tails_match(factors: &[SparsePoly], t: f64) {
+        let want = SparsePoly::product(factors).tail_above(t);
+        let (got, _) = SparsePoly::tail_of_product(factors, t);
+        assert!(
+            (got.mass - want.mass).abs() < 1e-15,
+            "t={t}: {got:?} vs {want:?}"
+        );
+        assert!(
+            (got.weighted_mass - want.weighted_mass).abs() < 1e-15,
+            "t={t}: {got:?} vs {want:?}"
+        );
+    }
+
+    #[test]
+    fn pruned_tail_of_no_factors_is_tail_of_one() {
+        for t in [-1.0, 0.0, 0.5] {
+            let (tail, expanded) = SparsePoly::tail_of_product(&[], t);
+            assert_eq!(tail, SparsePoly::one().tail_above(t), "t={t}");
+            assert_eq!(expanded, 0);
+        }
+    }
+
+    #[test]
+    fn pruned_tail_of_one_factor() {
+        let f = SparsePoly::spike_factor([(0.1, 0.9), (0.2, 0.5), (0.1, 0.3)]);
+        for t in [-1.0, 0.0, 0.2, 0.3, 0.4, 0.9, 1.0] {
+            let (tail, _) = SparsePoly::tail_of_product(std::slice::from_ref(&f), t);
+            assert_eq!(tail, f.tail_above(t), "t={t}");
+        }
+    }
+
+    #[test]
+    fn pruned_tail_all_dead_is_zero() {
+        let factors = [
+            SparsePoly::basic_factor(0.5, 0.25),
+            SparsePoly::basic_factor(0.5, 0.25),
+        ];
+        // The largest reachable exponent is 0.5, so nothing clears 0.5 and
+        // the lone starting term is dropped before any multiplication.
+        let (tail, expanded) = SparsePoly::tail_of_product(&factors, 0.5);
+        assert_eq!(tail, TailStats::default());
+        assert_eq!(expanded, 0);
+    }
+
+    #[test]
+    fn pruned_tail_is_strictly_above() {
+        // Sum exponents 0, 0.25, 0.5 and 0.75, all exact in binary.
+        let factors = [
+            SparsePoly::basic_factor(0.5, 0.25),
+            SparsePoly::basic_factor(0.5, 0.5),
+        ];
+        let (tail, _) = SparsePoly::tail_of_product(&factors, 0.5);
+        assert_eq!(tail.mass, 0.25);
+        assert_eq!(tail.weighted_mass, 0.25 * 0.75);
+        let (tail, _) = SparsePoly::tail_of_product(&factors, 0.25);
+        assert_eq!(tail.mass, 0.5);
+        // The paper's Example 3.1: the X^3 term sits exactly on T = 3.
+        let paper = [
+            SparsePoly::basic_factor(0.6, 2.0),
+            SparsePoly::basic_factor(0.2, 1.0),
+            SparsePoly::basic_factor(0.4, 2.0),
+        ];
+        let (tail, _) = SparsePoly::tail_of_product(&paper, 3.0);
+        assert!((5.0 * tail.mass - 1.2).abs() < 1e-12);
+        assert!((tail.avg_exponent() - 4.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pruned_tail_uses_actual_factor_mass() {
+        // Neither factor has mass 1, so the closed form for terms already
+        // above the threshold must scale by the remaining factors' mass.
+        let factors = [
+            SparsePoly::from_terms([(0.0, 0.5), (0.7, 0.5)]),
+            SparsePoly::from_terms([(0.1, 0.2), (0.3, 0.4), (0.45, 0.1)]),
+            SparsePoly::from_terms([(0.0, 0.9), (0.2, 0.3)]),
+        ];
+        for t in [-0.5, 0.0, 0.1, 0.35, 0.6, 0.75, 0.9, 1.5] {
+            assert_tails_match(&factors, t);
+        }
+    }
+
+    #[test]
+    fn pruned_tail_with_negative_exponent_falls_back() {
+        let factors = [
+            SparsePoly::from_terms([(-0.2, 0.5), (0.4, 0.5)]),
+            SparsePoly::basic_factor(0.3, 0.5),
+        ];
+        for t in [-0.3, 0.0, 0.25, 0.5] {
+            assert_tails_match(&factors, t);
+        }
     }
 
     #[test]

@@ -79,6 +79,30 @@ proptest! {
         }
     }
 
+    /// The threshold-pruned tail equals the full product's tail, for
+    /// thresholds below every exponent, exactly at a factor exponent,
+    /// mid-range, and above the largest reachable exponent.
+    #[test]
+    fn pruned_tail_matches_full_product(factors in arb_factors(), pick in 0usize..64) {
+        let ps = polys(&factors);
+        let full = SparsePoly::product(&ps);
+        let max_exp = full.max_exponent().unwrap_or(0.0);
+        let spikes: Vec<f64> = factors.iter().flatten().map(|&(_, e)| e).collect();
+        let at_spike = spikes[pick % spikes.len()];
+        for t in [-0.25, at_spike, max_exp / 2.0, max_exp + 0.1] {
+            let want = full.tail_above(t);
+            let (got, _) = SparsePoly::tail_of_product(&ps, t);
+            prop_assert!(
+                (got.mass - want.mass).abs() <= 1e-12 * want.mass,
+                "t={t}: {got:?} vs {want:?}"
+            );
+            prop_assert!(
+                (got.weighted_mass - want.weighted_mass).abs() <= 1e-12 * want.weighted_mass,
+                "t={t}: {got:?} vs {want:?}"
+            );
+        }
+    }
+
     /// Compacting preserves total and weighted mass and meets the size cap.
     #[test]
     fn compact_is_mass_preserving(factors in arb_factors(), cap in 1usize..16) {
