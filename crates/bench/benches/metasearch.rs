@@ -1,5 +1,5 @@
-//! Broker-level costs: selection, allocation, many-database ranking,
-//! hierarchy summarization.
+//! Broker-level costs: selection, dispatch, allocation, many-database
+//! ranking, hierarchy summarization.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use seu_bench::fixture;
@@ -7,7 +7,7 @@ use seu_core::SubrangeEstimator;
 use seu_corpus::many_databases;
 use seu_engine::SearchEngine;
 use seu_eval::ranking::{rank_databases, RankingFixture};
-use seu_metasearch::{Broker, SelectionPolicy};
+use seu_metasearch::{Broker, CacheMode, SearchRequest, SelectionPolicy};
 use std::hint::black_box;
 
 fn small_broker() -> Broker<SubrangeEstimator> {
@@ -46,6 +46,35 @@ fn bench_selection(c: &mut Criterion) {
     });
 }
 
+fn bench_execute(c: &mut Criterion) {
+    // Plan, dispatch and merge over the 53 local databases, with the
+    // cache bypassed so every iteration runs the whole pipeline.
+    let broker = Broker::new(SubrangeEstimator::paper_six_subrange());
+    for (name, collection) in many_databases(11, 120) {
+        broker.register(&name, SearchEngine::new(collection));
+    }
+    let requests: Vec<SearchRequest> = seu_corpus::SyntheticCorpus::standard()
+        .generate_query_log(&seu_corpus::QueryLogSpec {
+            n_queries: 32,
+            single_term_fraction: 0.3,
+            max_terms: 6,
+            on_topic_prob: 0.65,
+            seed: 29,
+        })
+        .into_iter()
+        .map(|terms| {
+            SearchRequest::new(terms.join(" "))
+                .threshold(0.15)
+                .policy(SelectionPolicy::EstimatedUseful)
+                .cache(CacheMode::Bypass)
+        })
+        .collect();
+    let mut next = requests.iter().cycle();
+    c.bench_function("broker_execute", |b| {
+        b.iter(|| broker.execute(black_box(next.next().unwrap())).hits.len())
+    });
+}
+
 fn bench_ranking(c: &mut Criterion) {
     // A scaled-down E11: 12 databases, 100 queries.
     let dbs: Vec<_> = many_databases(11, 120).into_iter().take(12).collect();
@@ -66,5 +95,5 @@ fn bench_ranking(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_selection, bench_ranking);
+criterion_group!(benches, bench_selection, bench_execute, bench_ranking);
 criterion_main!(benches);

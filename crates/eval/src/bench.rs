@@ -501,7 +501,7 @@ pub fn run_broker_bench_config(cfg: &BrokerBenchConfig) -> BrokerBenchReport {
         }
     });
     // The pipeline split: planning (analysis + estimation + selection)
-    // versus dispatch (worker-pool fan-out + merge), so regressions in
+    // versus dispatch (engine searches + merge), so regressions in
     // either half show up separately.
     timed("plan", queries.len() as u64, &mut || {
         for q in &queries {

@@ -6,8 +6,9 @@
 //!    vocabulary, builds per-engine query vectors through each engine's
 //!    registration-time [`TermMap`], estimates every engine, and applies
 //!    the selection policy → [`QueryPlan`];
-//! 2. [`Broker::execute`] dispatches the plan over a bounded
-//!    [`WorkerPool`] and merges the results → [`SearchResponse`].
+//! 2. [`Broker::execute`] dispatches the plan — local engines on the
+//!    calling thread, remote ones over a bounded [`WorkerPool`] — and
+//!    merges the results → [`SearchResponse`].
 //!
 //! The pre-pipeline entry points ([`Broker::estimate_all`],
 //! [`Broker::select`], [`Broker::search`]) remain as thin wrappers over
@@ -19,7 +20,7 @@ use crate::cache::{
 use crate::merge::merge_results;
 use crate::persist::{record_for_local, record_for_remote, StoreHandle};
 use crate::plan::{PlannedEngine, QueryPlan, SharedAnalysis};
-use crate::pool::{JobStatus, WorkerPool};
+use crate::pool::{run_inline, JobStatus, WorkerPool};
 use crate::registry::{
     shard_for, ColdEntry, EngineHandle, EngineStatus, RegisteredEngine, RegistrySnapshot,
     ReprProvenance, Shard, ShardedRegistry, StalePlanError,
@@ -35,7 +36,7 @@ use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use seu_core::{Usefulness, UsefulnessEstimator};
 use seu_engine::{Fingerprint, SearchEngine, TermMap};
-use seu_obs::{SpanRecord, TraceHandle};
+use seu_obs::{SpanGuard, SpanId, SpanRecord, TraceHandle};
 use seu_repr::Representative;
 use seu_store::{EntryKind, Manifest, ManifestEntry, ReprStore, StoreError};
 use seu_text::{Analyzer, AnalyzerConfig, Vocabulary};
@@ -47,9 +48,12 @@ use std::time::Instant;
 /// sequence, name)` of every engine it refreshed.
 type SweepJob = Box<dyn FnOnce() -> Vec<(u64, String)> + Send>;
 
-/// One engine's dispatch job: its merged hits and its wall-clock, or the
-/// typed transport failure that produced neither.
-type DispatchJob = Box<dyn FnOnce() -> Result<(Vec<MergedHit>, f64), TransportError> + Send>;
+/// One engine's dispatch result: its merged hits and its wall-clock, or
+/// the typed transport failure that produced neither.
+type DispatchResult = Result<(Vec<MergedHit>, f64), TransportError>;
+
+/// A remote or detached engine's dispatch job for the worker pool.
+type DispatchJob = Box<dyn FnOnce() -> DispatchResult + Send>;
 
 /// A shard-hydration job for the worker pool, returning how many cold
 /// entries it decoded from the store.
@@ -169,9 +173,11 @@ pub struct BrokerBuilder<E> {
 }
 
 impl<E: UsefulnessEstimator + Sync> BrokerBuilder<E> {
-    /// Fixes the dispatch worker-pool size. Without this the pool is
-    /// sized `min(registered engines, available cores)` when the first
-    /// query executes.
+    /// Fixes the worker-pool size. The pool runs remote engine calls,
+    /// shard sweeps and hydration; local engines are searched on the
+    /// calling thread and never occupy a worker. Without this the pool
+    /// is sized `min(registered engines, available cores)` when first
+    /// used.
     pub fn worker_threads(mut self, threads: usize) -> Self {
         self.worker_threads = Some(threads.max(1));
         self
@@ -189,7 +195,7 @@ impl<E: UsefulnessEstimator + Sync> BrokerBuilder<E> {
         self
     }
 
-    /// Names this broker's dispatch pool, so its queue depth and worker
+    /// Names this broker's worker pool, so its queue depth and worker
     /// count are additionally published under exclusive, label-suffixed
     /// gauges (`broker_pool_<label>_queue_depth`,
     /// `broker_pool_<label>_workers`) instead of only the process-wide
@@ -289,7 +295,7 @@ impl<E: UsefulnessEstimator + Sync> BrokerBuilder<E> {
 /// let broker = Broker::new(SubrangeEstimator::paper_six_subrange());
 /// broker.register("cooking", cooking);
 ///
-/// // The request pipeline: plan once, execute over the worker pool.
+/// // The request pipeline: plan once, then execute.
 /// let req = SearchRequest::new("mushroom soup")
 ///     .threshold(0.2)
 ///     .with_estimates(true);
@@ -325,11 +331,12 @@ pub struct Broker<E> {
     /// `broker_representative_bytes_resident_shard_<i>`); empty for flat
     /// (1-shard) brokers.
     shard_gauges: Arc<Vec<ShardGauges>>,
-    /// Builder override for the dispatch pool size.
+    /// Builder override for the worker pool size.
     worker_threads: Option<usize>,
-    /// Builder override for the dispatch pool's metric label.
+    /// Builder override for the worker pool's metric label.
     pool_label: Option<String>,
-    /// The dispatch pool, sized lazily at first execution.
+    /// The worker pool for remote engine calls, shard sweeps and
+    /// hydration, created at first use.
     pool: OnceLock<WorkerPool>,
     /// The query cache (`None` when built with `cache_bytes(0)`). Keys
     /// embed the registry epoch, so staleness falls out of the existing
@@ -384,6 +391,29 @@ fn publish_shard_gauges(
         g.engines.add(dn);
         g.bytes.add(dbytes);
     }
+}
+
+/// Opens one engine's `dispatch:<engine>` span under `parent`, with its
+/// kind and the wait from `queued` to now. Builds no strings for an
+/// unsampled trace.
+fn engine_span(
+    trace: &TraceHandle,
+    parent: SpanId,
+    name: &str,
+    kind: &str,
+    queued: Instant,
+) -> SpanGuard {
+    if !trace.is_sampled() {
+        return SpanGuard::disabled();
+    }
+    let mut span = trace.child_span(&format!("dispatch:{name}"), parent);
+    span.attr("engine", name);
+    span.attr("kind", kind);
+    span.attr(
+        "queue_wait_s",
+        format!("{:.6}", queued.elapsed().as_secs_f64()),
+    );
+    span
 }
 
 /// Sweeps one shard for stale entries and refreshes them, bumping the
@@ -901,8 +931,11 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         handles.into_iter().map(|(_, h)| h).collect()
     }
 
-    /// The dispatch pool, created at first use: `worker_threads` from the
+    /// The worker pool for remote engine calls, shard sweeps and
+    /// hydration, created at first use: `worker_threads` from the
     /// builder if set, else `min(registered engines, available cores)`.
+    /// A broker that only ever dispatches to local engines, and is not
+    /// sharded, never creates it.
     fn pool(&self) -> &WorkerPool {
         self.pool.get_or_init(|| {
             let threads = self.worker_threads.unwrap_or_else(|| {
@@ -918,9 +951,10 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         })
     }
 
-    /// The configured or effective dispatch pool size, and the peak
-    /// number of concurrently dispatched engine searches observed so far
-    /// (0 before the first execution).
+    /// The configured or effective worker pool size, and the peak number
+    /// of pool jobs observed running at once: remote engine calls, shard
+    /// sweeps and hydration. Local engine searches run on the calling
+    /// thread and do not count, so a broker of local engines reads 0.
     pub fn pool_stats(&self) -> (usize, u64) {
         match self.pool.get() {
             Some(pool) => (pool.threads(), pool.peak_active()),
@@ -1780,7 +1814,9 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
     }
 
     /// Executes a request end to end: plan, dispatch the selected engines
-    /// over the bounded worker pool, merge by global similarity.
+    /// (remote ones over the bounded worker pool, local ones on the
+    /// calling thread while the remote calls are in flight), merge by
+    /// global similarity.
     ///
     /// A panicking engine contributes no hits and is reported as
     /// [`DispatchOutcome::Failed`] (counted by
@@ -1976,18 +2012,23 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         Ok(resp)
     }
 
-    /// Dispatches a plan's invocation set over the worker pool and merges
-    /// the results. The accounting half of [`Broker::execute`].
+    /// Dispatches a plan's invocation set and merges the results. The
+    /// accounting half of [`Broker::execute`].
     fn dispatch(&self, req: &SearchRequest, plan: &QueryPlan) -> SearchResponse {
         self.dispatch_traced(req, plan, &TraceHandle::disabled())
     }
 
     /// [`Broker::dispatch`] with span recording: one `dispatch` span
     /// with a `dispatch:<engine>` child per invoked engine (carrying the
-    /// queue-wait measured from submission to job start, separate from
-    /// the span's own run time) and a `merge` child. Remote engines are
-    /// called with the trace context so their server-side spans come
-    /// back over the wire and join the same tree.
+    /// queue wait from the start of dispatch to the engine's turn,
+    /// separate from the span's own run time) and a `merge` child.
+    /// Remote engines are called with the trace context so their
+    /// server-side spans come back over the wire and join the same tree.
+    ///
+    /// Remote and detached engines are submitted to the worker pool
+    /// first; local engines are then searched on the calling thread
+    /// while those hops are in flight, and every engine is held to the
+    /// one deadline the request's timeout sets at the start of dispatch.
     fn dispatch_traced(
         &self,
         req: &SearchRequest,
@@ -1999,55 +2040,31 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         let mut dispatch_span = trace.span("dispatch");
         dispatch_span.attr("engines", plan.selected.len());
         let dispatch_span_id = dispatch_span.id();
+        let started = Instant::now();
+        let deadline = req.timeout.map(|t| started + t);
         let threshold = req.threshold;
-        let jobs: Vec<DispatchJob> = plan
+        let (remote_slots, remote_jobs): (Vec<usize>, Vec<DispatchJob>) = plan
             .selected
             .iter()
-            .map(|&i| {
+            .enumerate()
+            .filter_map(|(slot, &i)| {
                 let e = &plan.engines[i];
+                let transport = match &e.handle {
+                    EngineHandle::Local(_) => return None,
+                    EngineHandle::Remote { transport, .. } => Some(transport.clone()),
+                    EngineHandle::Detached { .. } => None,
+                };
                 let name = e.name.clone();
                 let trace = trace.clone();
-                let enqueued = Instant::now();
-                match &e.handle {
-                    EngineHandle::Local(engine) => {
-                        let engine = engine.clone();
-                        let query = e.query.clone();
-                        Box::new(move || {
-                            let mut span =
-                                trace.child_span(&format!("dispatch:{name}"), dispatch_span_id);
-                            span.attr("engine", &name);
-                            span.attr("kind", "local");
-                            span.attr(
-                                "queue_wait_s",
-                                format!("{:.6}", enqueued.elapsed().as_secs_f64()),
-                            );
-                            let start = Instant::now();
-                            let hits: Vec<MergedHit> = engine
-                                .search_threshold(&query, threshold)
-                                .into_iter()
-                                .map(|h| MergedHit {
-                                    engine: name.clone(),
-                                    doc: engine.collection().doc(h.doc).name.clone(),
-                                    sim: h.sim,
-                                })
-                                .collect();
-                            span.attr("hits", hits.len());
-                            Ok((hits, start.elapsed().as_secs_f64()))
-                        }) as DispatchJob
-                    }
-                    EngineHandle::Remote { transport, .. } => {
-                        let transport = transport.clone();
+                let job = match transport {
+                    Some(transport) => {
                         let text = plan.query.clone();
                         Box::new(move || {
                             let mut span =
-                                trace.child_span(&format!("dispatch:{name}"), dispatch_span_id);
-                            span.attr("engine", &name);
-                            span.attr("kind", "remote");
-                            span.attr("endpoint", transport.endpoint());
-                            span.attr(
-                                "queue_wait_s",
-                                format!("{:.6}", enqueued.elapsed().as_secs_f64()),
-                            );
+                                engine_span(&trace, dispatch_span_id, &name, "remote", started);
+                            if span.is_recording() {
+                                span.attr("endpoint", transport.endpoint());
+                            }
                             let start = Instant::now();
                             let ctx = trace.context(span.id());
                             let (remote_hits, remote_spans) =
@@ -2065,11 +2082,9 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                             Ok((hits, start.elapsed().as_secs_f64()))
                         }) as DispatchJob
                     }
-                    EngineHandle::Detached { .. } => Box::new(move || {
-                        let mut span =
-                            trace.child_span(&format!("dispatch:{name}"), dispatch_span_id);
-                        span.attr("engine", &name);
-                        span.attr("kind", "detached");
+                    None => Box::new(move || {
+                        let _span =
+                            engine_span(&trace, dispatch_span_id, &name, "detached", started);
                         Err(TransportError::new(
                             TransportErrorKind::Refused,
                             format!(
@@ -2078,10 +2093,46 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
                             ),
                         ))
                     }) as DispatchJob,
-                }
+                };
+                Some((slot, job))
+            })
+            .unzip();
+        let in_flight = (!remote_jobs.is_empty()).then(|| self.pool().start(remote_jobs));
+        let mut statuses: Vec<JobStatus<DispatchResult>> = plan
+            .selected
+            .iter()
+            .map(|&i| {
+                let e = &plan.engines[i];
+                let EngineHandle::Local(engine) = &e.handle else {
+                    // Filled in from the pool below.
+                    return JobStatus::TimedOut;
+                };
+                run_inline(
+                    || {
+                        let mut span =
+                            engine_span(trace, dispatch_span_id, &e.name, "local", started);
+                        let start = Instant::now();
+                        let hits: Vec<MergedHit> = engine
+                            .search_threshold(&e.query, threshold)
+                            .into_iter()
+                            .map(|h| MergedHit {
+                                engine: e.name.clone(),
+                                doc: engine.collection().doc(h.doc).name.clone(),
+                                sim: h.sim,
+                            })
+                            .collect();
+                        span.attr("hits", hits.len());
+                        Ok((hits, start.elapsed().as_secs_f64()))
+                    },
+                    deadline,
+                )
             })
             .collect();
-        let statuses = self.pool().run_collect(jobs, req.timeout);
+        if let Some(batch) = in_flight {
+            for (slot, status) in remote_slots.into_iter().zip(batch.collect(deadline)) {
+                statuses[slot] = status;
+            }
+        }
 
         let mut per_engine: Vec<Vec<MergedHit>> = Vec::with_capacity(statuses.len());
         let mut per_engine_stats = Vec::with_capacity(statuses.len());
@@ -2194,8 +2245,8 @@ impl<E: UsefulnessEstimator + Sync> Broker<E> {
         selected
     }
 
-    /// Full metasearch: select engines, dispatch the query to them over
-    /// the worker pool, and merge results above the threshold by global
+    /// Full metasearch: select engines, dispatch the query to them, and
+    /// merge results above the threshold by global
     /// similarity.
     ///
     /// Wrapper over [`Broker::execute`]; prefer the request pipeline in
@@ -2499,6 +2550,70 @@ mod tests {
         assert_eq!(by("stemmed").query().len(), 2);
     }
 
+    /// An in-process stand-in for a remote engine: it answers over the
+    /// [`RemoteTransport`] trait, so the broker dispatches it through the
+    /// worker pool. With a gate, a search answers only once the gate's
+    /// sender sends or is dropped.
+    #[derive(Debug)]
+    struct FakeRemote {
+        name: String,
+        engine: SearchEngine,
+        gate: Option<std::sync::Mutex<std::sync::mpsc::Receiver<()>>>,
+    }
+
+    fn fake_remote(
+        name: &str,
+        engine: SearchEngine,
+        gate: Option<std::sync::mpsc::Receiver<()>>,
+    ) -> Arc<dyn RemoteTransport> {
+        Arc::new(FakeRemote {
+            name: name.to_string(),
+            engine,
+            gate: gate.map(std::sync::Mutex::new),
+        })
+    }
+
+    impl RemoteTransport for FakeRemote {
+        fn endpoint(&self) -> String {
+            format!("fake:{}", self.name)
+        }
+
+        fn search(
+            &self,
+            query_text: &str,
+            threshold: f64,
+            _ctx: Option<&seu_obs::TraceContext>,
+        ) -> Result<(Vec<crate::RemoteHit>, Vec<SpanRecord>), TransportError> {
+            if let Some(gate) = &self.gate {
+                let _ = gate.lock().unwrap().recv();
+            }
+            let c = self.engine.collection();
+            let hits = self
+                .engine
+                .search_threshold(&c.query_from_text(query_text), threshold)
+                .into_iter()
+                .map(|h| crate::RemoteHit {
+                    doc: c.doc(h.doc).name.clone(),
+                    sim: h.sim,
+                })
+                .collect();
+            Ok((hits, Vec::new()))
+        }
+
+        fn true_usefulness(
+            &self,
+            query_text: &str,
+            threshold: f64,
+        ) -> Result<seu_engine::TrueUsefulness, TransportError> {
+            let query = self.engine.collection().query_from_text(query_text);
+            Ok(self.engine.true_usefulness(&query, threshold))
+        }
+
+        fn fetch_snapshot(&self) -> Result<EngineSnapshot, TransportError> {
+            Ok(EngineSnapshot::of_engine(&self.name, &self.engine))
+        }
+    }
+
     #[test]
     fn pool_stats_reflect_builder_override() {
         let b = Broker::builder(SubrangeEstimator::paper_six_subrange())
@@ -2506,10 +2621,70 @@ mod tests {
             .build();
         b.register("only", engine_from(&["solo document here"]));
         assert_eq!(b.pool_stats(), (2, 0));
+        // Local engines are searched on the calling thread.
         let _ = b.search("solo", 0.0, SelectionPolicy::All);
+        assert_eq!(b.pool_stats(), (2, 0));
+        // Remote engines occupy the pool, never more than two at once.
+        for i in 0..6 {
+            let engine = engine_from(&["solo remote document"]);
+            let name = format!("remote{i}");
+            b.register_remote(fake_remote(&name, engine, None)).unwrap();
+        }
+        let resp = b.execute(&SearchRequest::new("solo").policy(SelectionPolicy::All));
+        assert_eq!(resp.per_engine_stats.len(), 7);
+        assert!(resp.is_complete());
         let (threads, peak) = b.pool_stats();
         assert_eq!(threads, 2);
         assert!((1..=2).contains(&peak), "{peak}");
+    }
+
+    #[test]
+    fn slow_remote_times_out_while_local_engines_complete() {
+        let b = Broker::new(SubrangeEstimator::paper_six_subrange());
+        b.register("local_a", engine_from(&["shared words in a local engine"]));
+        let (release_slow, gate) = std::sync::mpsc::channel();
+        b.register_remote(fake_remote(
+            "slow",
+            engine_from(&["shared words far away"]),
+            Some(gate),
+        ))
+        .unwrap();
+        b.register("local_b", engine_from(&["more shared words locally"]));
+        b.register_remote(fake_remote(
+            "fast",
+            engine_from(&["shared words nearby"]),
+            None,
+        ))
+        .unwrap();
+        let req = SearchRequest::new("shared words")
+            .threshold(0.0)
+            .policy(SelectionPolicy::All)
+            .timeout(Duration::from_millis(200));
+        let plan = b.plan(&req, None);
+        let resp = b.execute(&req);
+        drop(release_slow);
+        let names: Vec<String> = resp
+            .per_engine_stats
+            .iter()
+            .map(|s| s.engine.clone())
+            .collect();
+        assert_eq!(names, plan.selected_names());
+        assert_eq!(names, ["local_a", "slow", "local_b", "fast"]);
+        let outcome = |n: &str| {
+            let s = resp
+                .per_engine_stats
+                .iter()
+                .find(|s| s.engine == n)
+                .unwrap();
+            (s.outcome, s.hits)
+        };
+        assert_eq!(outcome("local_a"), (DispatchOutcome::Completed, 1));
+        assert_eq!(outcome("local_b"), (DispatchOutcome::Completed, 1));
+        assert_eq!(outcome("fast"), (DispatchOutcome::Completed, 1));
+        assert_eq!(outcome("slow"), (DispatchOutcome::TimedOut, 0));
+        assert!(!resp.is_complete());
+        assert_eq!(resp.hits.len(), 3);
+        assert!(resp.hits.iter().all(|h| h.engine != "slow"));
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //!    local term space, predicts `(NoDoc, AvgSim)` for every engine from
 //!    its representative alone (the configured [`UsefulnessEstimator`]),
 //!    and applies the [`SelectionPolicy`] → a [`QueryPlan`];
-//! 2. [`Broker::execute`] dispatches the plan's selected engines over a
-//!    bounded worker pool and merges their results by global similarity
-//!    → a [`SearchResponse`] with hits, optional estimates, and
-//!    per-engine dispatch stats.
+//! 2. [`Broker::execute`] dispatches the plan's selected engines (local
+//!    ones on the calling thread, remote ones over a bounded worker
+//!    pool) and merges their results by global similarity → a
+//!    [`SearchResponse`] with hits, optional estimates, and per-engine
+//!    dispatch stats.
 //!
 //! The pre-pipeline entry points ([`Broker::estimate_all`],
 //! [`Broker::select`], [`Broker::search`]) are thin wrappers over the

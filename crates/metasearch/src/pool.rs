@@ -1,4 +1,4 @@
-//! A bounded worker pool for the broker's dispatch fan-out.
+//! A bounded worker pool for the broker's blocking fan-out.
 //!
 //! The seed broker spawned one scoped thread per selected engine per
 //! query. That is fine for a handful of engines but collapses under
@@ -6,23 +6,26 @@
 //! thread spawn per engine per query, and concurrent queries would
 //! multiply unbounded. [`WorkerPool`] fixes the concurrency at
 //! construction time: `threads` long-lived workers drain a shared queue,
-//! so dispatch cost per query is one channel send per selected engine and
-//! peak parallelism never exceeds the configured bound.
+//! and peak parallelism never exceeds the configured bound.
+//!
+//! The pool runs the broker's work that blocks or is large enough to
+//! overlap: a query's remote engine calls (one job per remote hop, so
+//! the hops are in flight together), and the per-shard *sweep* and
+//! *hydration* fan-outs of a sharded registry, where a slow refresh on
+//! one shard never serializes the sweep of the others. An in-process
+//! engine search takes microseconds, less than the queue hop would
+//! cost, so the broker runs those on the calling thread through
+//! `run_inline`, while its remote hops are in flight.
 //!
 //! Failure isolation: jobs run under `catch_unwind`, so a panicking
 //! engine neither kills its worker nor poisons the query — the caller
 //! sees [`JobStatus::Panicked`] for that job and results from everyone
-//! else.
-//!
-//! Besides per-query dispatch, the pool runs the broker's *shard sweep*
-//! fan-out: with a sharded registry, `refresh_if_stale` submits one job
-//! per shard through [`WorkerPool::run_collect`], so a slow refresh on
-//! one shard never serializes the sweep of the others (and never blocks
-//! queries, which only need that one shard's write lock).
+//! else. `run_inline` gives a job run on the calling thread the same
+//! statuses.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -113,7 +116,8 @@ impl std::fmt::Display for PoolClosed {
 
 impl std::error::Error for PoolClosed {}
 
-/// How one job submitted through [`WorkerPool::run_collect`] ended.
+/// How one job submitted through [`WorkerPool::run_collect`] (or run on
+/// the calling thread by the broker's dispatch) ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobStatus<T> {
     /// The job returned a value.
@@ -252,10 +256,20 @@ impl WorkerPool {
         jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
         timeout: Option<Duration>,
     ) -> Vec<JobStatus<T>> {
-        let n = jobs.len();
         let deadline = timeout.map(|t| Instant::now() + t);
+        self.start(jobs).collect(deadline)
+    }
+
+    /// Submits every job and returns without waiting: the first half of
+    /// [`WorkerPool::run_collect`], for callers that have their own work
+    /// to do on the calling thread while the batch runs.
+    pub(crate) fn start<T: Send + 'static>(
+        &self,
+        jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
+    ) -> Batch<T> {
         let (tx, rx) = channel::<(usize, Option<T>)>();
-        let mut rejected: Vec<usize> = Vec::new();
+        let mut out: Vec<JobStatus<T>> = Vec::with_capacity(jobs.len());
+        let mut pending = 0usize;
         for (i, job) in jobs.into_iter().enumerate() {
             let tx = tx.clone();
             let enqueued = Instant::now();
@@ -266,42 +280,69 @@ impl WorkerPool {
                 let result = run_job_timed(job, &m.job_seconds);
                 let _ = tx.send((i, result));
             }));
-            if submitted.is_err() {
-                rejected.push(i);
+            if submitted.is_ok() {
+                pending += 1;
+                out.push(JobStatus::TimedOut);
+            } else {
+                out.push(JobStatus::Rejected);
             }
         }
-        drop(tx);
+        Batch { rx, out, pending }
+    }
+}
 
-        let mut out: Vec<JobStatus<T>> = (0..n).map(|_| JobStatus::TimedOut).collect();
-        for &i in &rejected {
-            out[i] = JobStatus::Rejected;
-        }
-        let n = n - rejected.len();
-        let mut received = 0usize;
-        while received < n {
+/// Jobs submitted by [`WorkerPool::start`] whose results have not been
+/// collected yet.
+#[derive(Debug)]
+pub(crate) struct Batch<T> {
+    rx: Receiver<(usize, Option<T>)>,
+    /// One status per job, in input order: `Rejected` for jobs the pool
+    /// refused, `TimedOut` until a result arrives for the rest.
+    out: Vec<JobStatus<T>>,
+    pending: usize,
+}
+
+impl<T> Batch<T> {
+    /// Waits for the batch's results until `deadline` (`None`: until
+    /// every job reports) and returns them in input order, with the same
+    /// statuses as [`WorkerPool::run_collect`].
+    pub(crate) fn collect(mut self, deadline: Option<Instant>) -> Vec<JobStatus<T>> {
+        while self.pending > 0 {
             let message = match deadline {
-                None => rx.recv().ok(),
+                None => self.rx.recv().ok(),
                 Some(deadline) => {
-                    let now = Instant::now();
-                    let Some(budget) = deadline.checked_duration_since(now) else {
+                    let Some(budget) = deadline.checked_duration_since(Instant::now()) else {
                         break;
                     };
-                    match rx.recv_timeout(budget) {
-                        Ok(m) => Some(m),
-                        Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                            None
-                        }
-                    }
+                    self.rx.recv_timeout(budget).ok()
                 }
             };
             let Some((i, result)) = message else { break };
-            out[i] = match result {
+            self.out[i] = match result {
                 Some(v) => JobStatus::Done(v),
                 None => JobStatus::Panicked,
             };
-            received += 1;
+            self.pending -= 1;
         }
-        out
+        self.out
+    }
+}
+
+/// Runs `job` on the calling thread with the statuses a pool job gets
+/// from [`WorkerPool::run_collect`]: a panic is caught and reported as
+/// [`JobStatus::Panicked`]; if `deadline` has already passed the job is
+/// not run, and if it passes while the job runs the value is dropped;
+/// both report [`JobStatus::TimedOut`]. For work too short to be worth a
+/// hop to a worker thread.
+pub(crate) fn run_inline<T>(job: impl FnOnce() -> T, deadline: Option<Instant>) -> JobStatus<T> {
+    let expired = || deadline.is_some_and(|d| Instant::now() >= d);
+    if expired() {
+        return JobStatus::TimedOut;
+    }
+    match catch_unwind(AssertUnwindSafe(job)) {
+        Err(_) => JobStatus::Panicked,
+        Ok(_) if expired() => JobStatus::TimedOut,
+        Ok(v) => JobStatus::Done(v),
     }
 }
 
@@ -434,6 +475,51 @@ mod tests {
         assert_eq!(results[1], JobStatus::TimedOut);
         // Job 3 sits behind the sleeper on the single worker.
         assert_eq!(results[2], JobStatus::TimedOut);
+    }
+
+    #[test]
+    fn inline_panicking_job_is_isolated() {
+        let statuses: Vec<JobStatus<u32>> = vec![
+            run_inline(|| 1, None),
+            run_inline(|| panic!("engine exploded"), None),
+            run_inline(|| 3, None),
+        ];
+        assert_eq!(
+            statuses,
+            [JobStatus::Done(1), JobStatus::Panicked, JobStatus::Done(3)]
+        );
+    }
+
+    #[test]
+    fn inline_zero_budget_runs_nothing() {
+        let ran = AtomicUsize::new(0);
+        let deadline = Some(Instant::now() + Duration::ZERO);
+        for _ in 0..3 {
+            let status = run_inline(|| ran.fetch_add(1, Ordering::SeqCst), deadline);
+            assert_eq!(status, JobStatus::TimedOut);
+        }
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            0,
+            "a job ran past a spent budget"
+        );
+    }
+
+    #[test]
+    fn inline_job_finishing_after_the_deadline_is_dropped() {
+        let value = Arc::new(7u32);
+        let deadline = Some(Instant::now() + Duration::from_millis(20));
+        let status = run_inline(
+            || {
+                std::thread::sleep(Duration::from_millis(60));
+                Arc::clone(&value)
+            },
+            deadline,
+        );
+        assert_eq!(status, JobStatus::TimedOut);
+        assert_eq!(Arc::strong_count(&value), 1, "the late value was kept");
+        // The next job's turn comes after the deadline: not run at all.
+        assert_eq!(run_inline(|| 9u32, deadline), JobStatus::TimedOut);
     }
 
     #[test]

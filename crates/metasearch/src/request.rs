@@ -183,7 +183,7 @@ pub struct EngineDispatchStats {
     /// The typed transport failure behind a [`DispatchOutcome::Failed`]
     /// or [`DispatchOutcome::TimedOut`] outcome, when the engine is
     /// remote and its transport reported one (`None` for local engines
-    /// and pool-level timeouts).
+    /// and dispatch-budget timeouts).
     pub error: Option<TransportError>,
 }
 

@@ -1,14 +1,19 @@
 //! Integration: the SearchRequest pipeline against the pre-pipeline
-//! semantics, the dispatch concurrency bound, and the analysis-once
+//! semantics, the remote dispatch concurrency bound, and the analysis-once
 //! guarantee.
 
 use seu_core::{SubrangeEstimator, Usefulness, UsefulnessEstimator};
 use seu_corpus::many_databases;
+use seu_engine::TrueUsefulness;
 use seu_engine::{CollectionBuilder, SearchEngine, WeightingScheme};
 use seu_metasearch::{
-    merge_results, Broker, MergedHit, Representative, SearchRequest, SelectionPolicy,
+    merge_results, Broker, EngineSnapshot, MergedHit, RemoteHit, RemoteTransport, Representative,
+    SearchRequest, SelectionPolicy, TransportError,
 };
+use seu_obs::{SpanRecord, TraceContext};
 use seu_text::Analyzer;
+use std::sync::Arc;
+use std::time::Duration;
 
 fn tiny_engine(topic: &str, n_docs: usize) -> SearchEngine {
     let mut b = CollectionBuilder::new(Analyzer::paper_default(), WeightingScheme::CosineTf);
@@ -21,22 +26,78 @@ fn tiny_engine(topic: &str, n_docs: usize) -> SearchEngine {
     SearchEngine::new(b.build())
 }
 
-/// Dispatch across 64 engines never runs more searches at once than the
-/// configured worker count.
+/// A remote engine served in-process: the broker reaches it only through
+/// the [`RemoteTransport`] trait, so its searches run on the worker pool.
+/// Each search holds its worker for a moment, so concurrent searches
+/// overlap.
+#[derive(Debug)]
+struct FakeRemote {
+    name: String,
+    engine: SearchEngine,
+}
+
+impl RemoteTransport for FakeRemote {
+    fn endpoint(&self) -> String {
+        format!("fake:{}", self.name)
+    }
+
+    fn search(
+        &self,
+        query_text: &str,
+        threshold: f64,
+        _ctx: Option<&TraceContext>,
+    ) -> Result<(Vec<RemoteHit>, Vec<SpanRecord>), TransportError> {
+        std::thread::sleep(Duration::from_millis(2));
+        let c = self.engine.collection();
+        let hits = self
+            .engine
+            .search_threshold(&c.query_from_text(query_text), threshold)
+            .into_iter()
+            .map(|h| RemoteHit {
+                doc: c.doc(h.doc).name.clone(),
+                sim: h.sim,
+            })
+            .collect();
+        Ok((hits, Vec::new()))
+    }
+
+    fn true_usefulness(
+        &self,
+        query_text: &str,
+        threshold: f64,
+    ) -> Result<TrueUsefulness, TransportError> {
+        let query = self.engine.collection().query_from_text(query_text);
+        Ok(self.engine.true_usefulness(&query, threshold))
+    }
+
+    fn fetch_snapshot(&self) -> Result<EngineSnapshot, TransportError> {
+        Ok(EngineSnapshot::of_engine(&self.name, &self.engine))
+    }
+}
+
+/// Dispatch across 64 remote engines never runs more searches at once
+/// than the configured worker count; local engines never touch the pool.
 #[test]
 fn dispatch_respects_the_worker_bound() {
     let broker = Broker::builder(SubrangeEstimator::paper_six_subrange())
         .worker_threads(4)
         .build();
+    broker.register("local", tiny_engine("shared topic words", 3));
+    let req = SearchRequest::new("shared topic")
+        .threshold(0.0)
+        .policy(SelectionPolicy::All);
+    assert!(broker.execute(&req).is_complete());
+    assert_eq!(broker.pool_stats(), (4, 0), "a local search used the pool");
+
     for i in 0..64 {
-        broker.register(&format!("engine{i}"), tiny_engine("shared topic words", 3));
+        let name = format!("engine{i}");
+        let engine = tiny_engine("shared topic words", 3);
+        broker
+            .register_remote(Arc::new(FakeRemote { name, engine }))
+            .unwrap();
     }
-    let resp = broker.execute(
-        &SearchRequest::new("shared topic")
-            .threshold(0.0)
-            .policy(SelectionPolicy::All),
-    );
-    assert_eq!(resp.per_engine_stats.len(), 64);
+    let resp = broker.execute(&req);
+    assert_eq!(resp.per_engine_stats.len(), 65);
     assert!(resp.is_complete());
     let (threads, peak) = broker.pool_stats();
     assert_eq!(threads, 4);
